@@ -46,6 +46,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from ..engine import Category, SimulationError
 from ..network import Packet, PacketKind
+from ..obs import MetricTemplate
 from ..params import SimParams
 from .errors import CollectiveError
 from .messages import CollArrive, CollMsgType, CollRelease
@@ -62,6 +63,13 @@ __all__ = [
 
 #: Operations every engine implements (and the per-op latency metrics).
 OPS = ("barrier", "allreduce", "reduce", "broadcast", "multicast")
+
+_METRICS = MetricTemplate(
+    *(("counter", name, None) for name in (
+        "ops_completed", "arrivals", "releases", "bytes_sent", "nic_steps",
+        "host_steps", "host_interrupts", "timeouts")),
+    *(("histogram", f"{op}_ns", None) for op in OPS),
+)
 
 #: Sentinel a deadline expiry delivers to a waiter (never a real value).
 _TIMEOUT = object()
@@ -124,16 +132,16 @@ class CollectiveEngine:
         #: wake/release for one of these keys is dropped, not an error.
         self._abandoned: Set[Tuple[int, int]] = set()
 
-        scope = node.metrics.scope("coll")
-        self._m_ops = scope.counter("ops_completed")
-        self._m_arrivals = scope.counter("arrivals")
-        self._m_releases = scope.counter("releases")
-        self._m_bytes = scope.counter("bytes_sent")
-        self._m_nic_steps = scope.counter("nic_steps")
-        self._m_host_steps = scope.counter("host_steps")
-        self._m_host_intr = scope.counter("host_interrupts")
-        self._m_timeouts = scope.counter("timeouts")
-        self._op_ns = {op: scope.histogram(f"{op}_ns") for op in OPS}
+        m = node.metrics.scope("coll").register(_METRICS)
+        self._m_ops = m["ops_completed"]
+        self._m_arrivals = m["arrivals"]
+        self._m_releases = m["releases"]
+        self._m_bytes = m["bytes_sent"]
+        self._m_nic_steps = m["nic_steps"]
+        self._m_host_steps = m["host_steps"]
+        self._m_host_intr = m["host_interrupts"]
+        self._m_timeouts = m["timeouts"]
+        self._op_ns = {op: m[f"{op}_ns"] for op in OPS}
 
     # ------------------------------------------------------------- platform --
     def _charge_rx(self, on_board: bool) -> float:

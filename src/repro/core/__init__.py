@@ -23,10 +23,17 @@ from .adc import (
 )
 from .aih import HandlerError, HandlerRegistry
 from .detector import FailureDetector
-from .cni_nic import AIH_TARGET, CHANNEL_TARGET, CNIInterface, PIO_THRESHOLD_BYTES
+from .cni_nic import (
+    AIH_TARGET,
+    CHANNEL_TARGET,
+    PIO_THRESHOLD_BYTES,
+    PROTOCOL_KINDS,
+    CNIInterface,
+    connection_patterns,
+)
 from .message_cache import MessageCache
 from .nic_base import HostHooks, NetworkInterface
-from .pathfinder import Pathfinder, Pattern, PatternElement
+from .pathfinder import Pathfinder, Pattern, PatternElement, PatternSet
 from .reliability import DeliveryFailed, ReliableTransport
 from .standard_nic import StandardInterface
 
@@ -46,11 +53,14 @@ __all__ = [
     "MessageCache",
     "NetworkInterface",
     "PIO_THRESHOLD_BYTES",
+    "PROTOCOL_KINDS",
     "Pathfinder",
     "Pattern",
     "PatternElement",
+    "PatternSet",
     "ReceiveDescriptor",
     "ReliableTransport",
     "StandardInterface",
     "TransmitDescriptor",
+    "connection_patterns",
 ]

@@ -17,9 +17,9 @@ Handlers run on the NI processor's clock inside the receive path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..obs import MetricsScope, private_scope
+from ..obs import MetricsScope, MetricTemplate, private_scope
 from ..params import SimParams
 
 #: A handler receives (packet, nic) and returns an optional generator of
@@ -40,6 +40,13 @@ class _Segment:
     fn: HandlerFn
 
 
+_METRICS = MetricTemplate(
+    ("counter", "dispatches", "dispatches"),
+    ("counter", "swap_ins", "swap_ins"),
+    ("gauge", "handler_bytes_used", "used_bytes"),
+)
+
+
 class HandlerRegistry:
     """Board-resident Application Interrupt Handler store.
 
@@ -58,9 +65,7 @@ class HandlerRegistry:
         self.dispatches = 0
         self.swap_ins = 0
         m = metrics if metrics is not None else private_scope()
-        m.counter("dispatches", fn=lambda: self.dispatches)
-        m.counter("swap_ins", fn=lambda: self.swap_ins)
-        m.gauge("handler_bytes_used", fn=lambda: self.used_bytes)
+        m.register(_METRICS, self)
 
     # -- installation -----------------------------------------------------------
     @property
@@ -77,18 +82,31 @@ class HandlerRegistry:
         key is taken; re-keying is the application's problem, as it would
         be on the real board.
         """
-        if code_size <= 0:
-            raise ValueError("handler object code must have positive size")
-        if key in self._segments:
-            raise HandlerError(f"handler key {key} already installed")
-        if self.used_bytes + code_size > self.memory_bytes:
-            raise HandlerError(
-                f"handler memory exhausted: {self.used_bytes}+{code_size} "
-                f"> {self.memory_bytes}"
-            )
-        self._segments[key] = _Segment(key, code_size, fn)
-        self.swap_ins += 1
+        self.install_many(((key, fn, code_size),))
         return self.params.dma_time_ns(code_size)
+
+    def install_many(self,
+                     handlers: Iterable[Tuple[int, HandlerFn, int]]) -> None:
+        """Swap in ``(key, fn, code_size)`` handlers in one step, as
+        :meth:`install` would one by one; all or nothing."""
+        handlers = tuple(handlers)
+        used = self.used_bytes
+        fresh = set()
+        for key, _fn, code_size in handlers:
+            if code_size <= 0:
+                raise ValueError("handler object code must have positive size")
+            if key in self._segments or key in fresh:
+                raise HandlerError(f"handler key {key} already installed")
+            if used + code_size > self.memory_bytes:
+                raise HandlerError(
+                    f"handler memory exhausted: {used}+{code_size} "
+                    f"> {self.memory_bytes}"
+                )
+            fresh.add(key)
+            used += code_size
+        for key, fn, code_size in handlers:
+            self._segments[key] = _Segment(key, code_size, fn)
+        self.swap_ins += len(handlers)
 
     def uninstall(self, key: int) -> None:
         """Free a handler segment (connection teardown)."""

@@ -16,20 +16,20 @@ interrupt otherwise (the hybrid scheme of Section 2.1).
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
+from typing import Generator, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..engine import Category, Counters, Simulator
 from ..memory import BoardTLB, MemoryBus
 from ..network import Network, Packet, PacketKind
-from ..obs import MetricsScope, private_scope
+from ..obs import MetricsScope, MetricTemplate, private_scope
 from ..params import SimParams
 from .adc import ChannelManager, DeviceChannel, TransmitDescriptor
-from .aih import HandlerRegistry
+from .aih import HandlerFn, HandlerRegistry
 from .message_cache import MessageCache
 from .nic_base import HostHooks, NetworkInterface
-from .pathfinder import Pathfinder, Pattern, PatternElement
+from .pathfinder import Pathfinder, Pattern, PatternElement, PatternSet
 
 #: Classification targets produced by the patterns we program.
 AIH_TARGET = "aih"
@@ -38,6 +38,76 @@ CHANNEL_TARGET = "chan"
 #: Payloads at or below this many bytes travel inside the descriptor /
 #: protocol message itself (programmed I/O), with no DMA staging.
 PIO_THRESHOLD_BYTES = 64
+
+#: Packet kinds that activate a DSM protocol handler: both
+#: protocol-control and page-carrying packets (Section 2.3).
+PROTOCOL_KINDS = (PacketKind.DSM_PROTOCOL, PacketKind.DSM_PAGE)
+
+
+def _kind_and_field(kind: PacketKind, offset: int, value: int,
+                    target) -> Pattern:
+    """Header byte 0 == ``kind`` and the 2-byte field at ``offset`` ==
+    ``value``."""
+    return Pattern(
+        elements=(
+            PatternElement(offset=0, length=1, mask=0xFF, value=int(kind)),
+            PatternElement(offset=offset, length=2, mask=0xFFFF, value=value),
+        ),
+        target=target,
+    )
+
+
+def _channel_pattern(channel_id: int) -> Pattern:
+    """Demux DATA packets (header bytes 6-7: channel id) to a channel."""
+    return _kind_and_field(PacketKind.DATA, 6, channel_id,
+                           (CHANNEL_TARGET, channel_id))
+
+
+def _handler_patterns(key: int, kinds: Iterable[PacketKind]) -> List[Pattern]:
+    """Activate handler ``key`` (header bytes 8-9) on each of ``kinds``."""
+    return [_kind_and_field(kind, 8, key, (AIH_TARGET, key))
+            for kind in kinds]
+
+
+def connection_patterns(
+    channel_id: int,
+    handler_kinds: Iterable[Tuple[int, Sequence[PacketKind]]],
+) -> PatternSet:
+    """The PATHFINDER program of a parallel application's connection:
+    DATA demux for ``channel_id``, then the activation patterns of every
+    ``(handler key, packet kinds)`` pair, in priority order.  Every
+    board of the application runs the same program, so one set serves
+    the whole cluster (:meth:`CNIInterface.open_connection`)."""
+    patterns = [_channel_pattern(channel_id)]
+    for key, kinds in handler_kinds:
+        patterns.extend(_handler_patterns(key, kinds))
+    return PatternSet(patterns)
+
+
+def _channels_max(attr: str):
+    return lambda nic: max(
+        (getattr(ch, attr).depth_hwm
+         for ch in nic.channel_manager.channels.values()), default=0)
+
+
+def _channels_sum(fn):
+    return lambda nic: sum(
+        fn(ch) for ch in nic.channel_manager.channels.values())
+
+
+# Aggregates over open channels: worst-case ring depths and the
+# application's successful receive polls.
+_ADC_METRICS = MetricTemplate(
+    ("gauge", "tx_depth_hwm", _channels_max("transmit")),
+    ("gauge", "rx_depth_hwm", _channels_max("receive")),
+    ("gauge", "free_depth_hwm", _channels_max("free")),
+    ("counter", "ring_full_rejections", _channels_sum(
+        lambda ch: ch.transmit.full_rejections + ch.receive.full_rejections
+        + ch.free.full_rejections)),
+    ("counter", "protection_faults",
+     _channels_sum(lambda ch: ch.protection_faults)),
+    ("counter", "ring_polls", _channels_sum(lambda ch: ch.poll_receives)),
+)
 
 
 class CNIInterface(NetworkInterface):
@@ -66,23 +136,7 @@ class CNIInterface(NetworkInterface):
         self._frag_targets = {}
         super().__init__(sim, params, node_id, network, bus, counters, hooks,
                          metrics=m)
-        adc = m.scope("adc")
-        chans = self.channel_manager.channels
-        # Aggregates over open channels: worst-case ring depths and the
-        # application's successful receive polls.
-        adc.gauge("tx_depth_hwm", fn=lambda: max(
-            (ch.transmit.depth_hwm for ch in chans.values()), default=0))
-        adc.gauge("rx_depth_hwm", fn=lambda: max(
-            (ch.receive.depth_hwm for ch in chans.values()), default=0))
-        adc.gauge("free_depth_hwm", fn=lambda: max(
-            (ch.free.depth_hwm for ch in chans.values()), default=0))
-        adc.counter("ring_full_rejections", fn=lambda: sum(
-            ch.transmit.full_rejections + ch.receive.full_rejections
-            + ch.free.full_rejections for ch in chans.values()))
-        adc.counter("protection_faults", fn=lambda: sum(
-            ch.protection_faults for ch in chans.values()))
-        adc.counter("ring_polls", fn=lambda: sum(
-            ch.poll_receives for ch in chans.values()))
+        m.scope("adc").register(_ADC_METRICS, self)
         if params.snoop_enabled:
             bus.add_snooper(self._snoop)
         else:
@@ -96,19 +150,23 @@ class CNIInterface(NetworkInterface):
         agreed between the connection's endpoints (the sender stamps it
         into the header; this board's PATHFINDER matches it)."""
         ch = self.channel_manager.open_channel(owner_app, channel_id=channel_id)
-        self.pathfinder.install(
-            Pattern(
-                elements=(
-                    # header byte 0: kind == DATA
-                    PatternElement(offset=0, length=1, mask=0xFF,
-                                   value=int(PacketKind.DATA)),
-                    # header bytes 6-7: channel id
-                    PatternElement(offset=6, length=2, mask=0xFFFF,
-                                   value=ch.channel_id),
-                ),
-                target=(CHANNEL_TARGET, ch.channel_id),
-            )
-        )
+        self.pathfinder.install(_channel_pattern(ch.channel_id))
+        return ch
+
+    def open_connection(
+        self, owner_app: int, channel_id: int,
+        handlers: Iterable[Tuple[int, HandlerFn, int]],
+        patterns: PatternSet,
+    ) -> DeviceChannel:
+        """Kernel connection setup in one step: open channel
+        ``channel_id``, swap in every ``(key, fn, code_size)`` AIH of
+        ``handlers`` and program ``patterns`` — the application's
+        :func:`connection_patterns`, built once and shared by every
+        board.  Equivalent to :meth:`open_channel` followed by one
+        handler install per key."""
+        ch = self.channel_manager.open_channel(owner_app, channel_id=channel_id)
+        self.handlers.install_many(handlers)
+        self.pathfinder.install_set(patterns)
         return ch
 
     def install_protocol_handler(self, key: int, fn, code_size: int) -> float:
@@ -120,62 +178,8 @@ class CNIInterface(NetworkInterface):
         pattern').  Returns the swap-in time (connection-setup cost).
         """
         swap_ns = self.handlers.install(key, fn, code_size)
-        for kind in (PacketKind.DSM_PROTOCOL, PacketKind.DSM_PAGE):
-            self.pathfinder.install(
-                Pattern(
-                    elements=(
-                        PatternElement(offset=0, length=1, mask=0xFF,
-                                       value=int(kind)),
-                        # header bytes 8-9: handler key
-                        PatternElement(offset=8, length=2, mask=0xFFFF,
-                                       value=key),
-                    ),
-                    target=(AIH_TARGET, key),
-                )
-            )
-        return swap_ns
-
-    def install_collective_handler(self, key: int, fn, code_size: int) -> float:
-        """Swap in a collective AIH and program its activation pattern.
-
-        Same scheme as :meth:`install_protocol_handler`, but collective
-        traffic travels under a single packet kind
-        (:data:`~repro.network.PacketKind.COLLECTIVE`), so one pattern
-        per handler key suffices.  Returns the swap-in time.
-        """
-        swap_ns = self.handlers.install(key, fn, code_size)
-        self.pathfinder.install(
-            Pattern(
-                elements=(
-                    PatternElement(offset=0, length=1, mask=0xFF,
-                                   value=int(PacketKind.COLLECTIVE)),
-                    # header bytes 8-9: handler key
-                    PatternElement(offset=8, length=2, mask=0xFFFF,
-                                   value=key),
-                ),
-                target=(AIH_TARGET, key),
-            )
-        )
-        return swap_ns
-
-    def install_runtime_handler(self, key: int, fn, code_size: int) -> float:
-        """Swap in a messaging-runtime AIH and program its activation
-        pattern (docs/runtime.md).  Same single-kind scheme as
-        :meth:`install_collective_handler`, under
-        :data:`~repro.network.PacketKind.RUNTIME`."""
-        swap_ns = self.handlers.install(key, fn, code_size)
-        self.pathfinder.install(
-            Pattern(
-                elements=(
-                    PatternElement(offset=0, length=1, mask=0xFF,
-                                   value=int(PacketKind.RUNTIME)),
-                    # header bytes 8-9: handler key
-                    PatternElement(offset=8, length=2, mask=0xFFFF,
-                                   value=key),
-                ),
-                target=(AIH_TARGET, key),
-            )
-        )
+        for pattern in _handler_patterns(key, PROTOCOL_KINDS):
+            self.pathfinder.install(pattern)
         return swap_ns
 
     # -- host send path ------------------------------------------------------------

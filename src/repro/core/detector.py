@@ -28,8 +28,18 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from ..network import Packet, PacketKind
+from ..obs import MetricTemplate
 
 __all__ = ["FailureDetector"]
+
+
+_METRICS = MetricTemplate(
+    ("counter", "heartbeats_sent", "heartbeats_sent"),
+    ("counter", "heartbeats_received", "heartbeats_received"),
+    ("counter", "suspicions", "suspicions"),
+    ("counter", "suspicion_clears", "suspicion_clears"),
+    ("gauge", "suspected_peers", lambda d: len(d.suspected)),
+)
 
 
 class FailureDetector:
@@ -58,13 +68,7 @@ class FailureDetector:
         self.suspicion_clears = 0
         self._tick_handle = None
         self._running = False
-        metrics.counter("heartbeats_sent", fn=lambda: self.heartbeats_sent)
-        metrics.counter("heartbeats_received",
-                        fn=lambda: self.heartbeats_received)
-        metrics.counter("suspicions", fn=lambda: self.suspicions)
-        metrics.counter("suspicion_clears",
-                        fn=lambda: self.suspicion_clears)
-        metrics.gauge("suspected_peers", fn=lambda: len(self.suspected))
+        metrics.register(_METRICS, self)
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:

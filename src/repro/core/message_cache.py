@@ -27,7 +27,7 @@ import numpy as np
 
 from ..engine import Counters
 from ..memory import BoardTLB
-from ..obs import MetricsScope, private_scope
+from ..obs import MetricsScope, MetricTemplate, private_scope
 from ..params import SimParams
 
 
@@ -39,6 +39,19 @@ class _Buffer:
     vpage: int = -1
     valid: bool = False
     referenced: bool = False  # clock (second-chance) bit
+
+
+_METRICS = MetricTemplate(
+    ("counter", "hits", "hits"),
+    ("counter", "misses", lambda mc: mc.lookups - mc.hits),
+    ("counter", "insertions", "insertions"),
+    ("counter", "evictions", "evictions"),
+    ("counter", "invalidations", "invalidations"),
+    ("counter", "snoop_updates", "snoop_updates"),
+    ("counter", "snoop_aborts", "snoop_aborts"),
+    ("gauge", "occupancy", "occupancy"),
+    ("gauge", "capacity", "capacity"),
+)
 
 
 class MessageCache:
@@ -62,15 +75,7 @@ class MessageCache:
         self.evictions = 0
         self.invalidations = 0
         m = metrics if metrics is not None else private_scope()
-        m.counter("hits", fn=lambda: self.hits)
-        m.counter("misses", fn=lambda: self.lookups - self.hits)
-        m.counter("insertions", fn=lambda: self.insertions)
-        m.counter("evictions", fn=lambda: self.evictions)
-        m.counter("invalidations", fn=lambda: self.invalidations)
-        m.counter("snoop_updates", fn=lambda: self.snoop_updates)
-        m.counter("snoop_aborts", fn=lambda: self.snoop_aborts)
-        m.gauge("occupancy", fn=lambda: self.occupancy)
-        m.gauge("capacity", fn=lambda: self.capacity)
+        m.register(_METRICS, self)
 
     # -- capacity ---------------------------------------------------------------
     @property

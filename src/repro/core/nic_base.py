@@ -27,7 +27,7 @@ from typing import Any, Callable, Generator, Optional, Protocol
 from ..engine import Category, Counters, Mailbox, Simulator
 from ..memory import MemoryBus
 from ..network import CellTrain, Network, Packet, PacketKind, Reassembler, Segmenter
-from ..obs import MetricsScope, private_scope
+from ..obs import MetricsScope, MetricTemplate, private_scope
 from ..params import SimParams
 from .adc import ReceiveDescriptor, TransmitDescriptor
 from .detector import FailureDetector
@@ -47,6 +47,18 @@ class HostHooks(Protocol):
 #: The DSM engine's packet entry point: returns a generator that performs
 #: the protocol action (charging time via its platform adapter).
 ProtocolSink = Callable[[Packet], Generator]
+
+
+_METRICS = MetricTemplate(
+    ("counter", "tx.packets_sent", "packets_sent"),
+    ("counter", "rx.packets_received", "packets_received"),
+    ("counter", "rx.packets_dropped", "packets_dropped"),
+    ("counter", "rx.payload_bytes", "payload_bytes_received"),
+    # Hybrid notification split (Section 2.1): descriptors the host
+    # will notice by polling vs. arrivals that raised an interrupt.
+    ("counter", "adc.poll_receives", None),
+    ("counter", "adc.interrupt_receives", None),
+)
 
 
 class NetworkInterface:
@@ -91,17 +103,9 @@ class NetworkInterface:
             metrics=self.metrics.scope("detector"))
         #: Fail-stopped by a NodeCrash (see on_crash).
         self.crashed = False
-        self.metrics.counter("tx.packets_sent", fn=lambda: self.packets_sent)
-        self.metrics.counter("rx.packets_received",
-                             fn=lambda: self.packets_received)
-        self.metrics.counter("rx.packets_dropped",
-                             fn=lambda: self.packets_dropped)
-        self.metrics.counter("rx.payload_bytes",
-                             fn=lambda: self.payload_bytes_received)
-        # Hybrid notification split (Section 2.1): descriptors the host
-        # will notice by polling vs. arrivals that raised an interrupt.
-        self._m_poll_rx = self.metrics.counter("adc.poll_receives")
-        self._m_intr_rx = self.metrics.counter("adc.interrupt_receives")
+        m = self.metrics.register(_METRICS, self)
+        self._m_poll_rx = m["adc.poll_receives"]
+        self._m_intr_rx = m["adc.interrupt_receives"]
         self._tx_proc = sim.spawn(self._transmit_loop(), f"nic{node_id}-txp")
         self._rx_proc = sim.spawn(self._receive_loop(), f"nic{node_id}-rxp")
 

@@ -17,6 +17,12 @@ The implementation keeps the two properties the paper leans on:
   header; on a first-fragment match the classifier installs a
   ``(vci, packet_id)`` entry in a fragment table so later fragments map
   to the same target without a header.
+
+Connection setup programs every board of a cluster with the same
+patterns, so they are built once as a :class:`PatternSet` — validated,
+with its DAG composed — and a board adopts the set's DAG by reference.
+The first later change on one board (an install or a remove) gives
+that board a private copy; the shared cells are never mutated.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..obs import MetricsScope, private_scope
+from ..obs import MetricsScope, MetricTemplate, private_scope
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,61 @@ class _Cell:
         self.accept: Dict[int, Tuple[int, Any]] = {}
 
 
+def _find_or_add_cell(cells: List[_Cell], key: Tuple[int, int, int]) -> _Cell:
+    for c in cells:
+        if c.key == key:
+            return c
+    c = _Cell(key)
+    cells.append(c)
+    return c
+
+
+def _add_to_dag(root: List[_Cell], pattern: Pattern) -> None:
+    """Compose ``pattern`` into the DAG under ``root``."""
+    cells = root
+    last_index = len(pattern.elements) - 1
+    for i, elem in enumerate(pattern.elements):
+        cell = _find_or_add_cell(cells, elem.key())
+        if i == last_index:
+            if elem.value in cell.accept:
+                raise ValueError("an identical pattern is already installed")
+            cell.accept[elem.value] = (pattern.pattern_id, pattern.target)
+        else:
+            cells = cell.edges.setdefault(elem.value, [])
+
+
+class PatternSet:
+    """An ordered, immutable pattern program with its DAG built once.
+
+    Order is installation order, i.e. priority.  Any number of
+    :class:`Pathfinder` instances may share one set through
+    :meth:`Pathfinder.install_set`.
+    """
+
+    __slots__ = ("patterns", "_root", "_by_id")
+
+    def __init__(self, patterns: Iterable[Pattern]):
+        self.patterns: Tuple[Pattern, ...] = tuple(patterns)
+        self._root: List[_Cell] = []
+        self._by_id: Dict[int, Pattern] = {}
+        for p in self.patterns:
+            _add_to_dag(self._root, p)
+            self._by_id[p.pattern_id] = p
+
+    def __len__(self) -> int:
+        return len(self.patterns)
+
+
+_METRICS = MetricTemplate(
+    ("counter", "classifications", "classifications"),
+    ("counter", "matches", "matches"),
+    ("counter", "fragment_hits", "fragment_hits"),
+    ("counter", "misses", "misses"),
+    ("gauge", "patterns_installed", "pattern_count"),
+    ("gauge", "fragment_table_size", "fragment_table_size"),
+)
+
+
 class Pathfinder:
     """The classifier: programmable pattern DAG + fragment table."""
 
@@ -105,6 +166,8 @@ class Pathfinder:
         self.max_patterns = max_patterns
         self._root: List[_Cell] = []  # alternative first cells
         self._patterns: Dict[int, Pattern] = {}
+        #: True while ``_root``/``_patterns`` belong to a PatternSet.
+        self._shared = False
         self._fragment_table: Dict[Tuple[int, int], Any] = {}
         #: Memoized DAG walks: header bytes -> winning (pattern_id,
         #: target) or None on a miss.  Valid only for the current
@@ -118,12 +181,7 @@ class Pathfinder:
         self.fragment_hits = 0
         self.misses = 0
         m = metrics if metrics is not None else private_scope()
-        m.counter("classifications", fn=lambda: self.classifications)
-        m.counter("matches", fn=lambda: self.matches)
-        m.counter("fragment_hits", fn=lambda: self.fragment_hits)
-        m.counter("misses", fn=lambda: self.misses)
-        m.gauge("patterns_installed", fn=lambda: self.pattern_count)
-        m.gauge("fragment_table_size", fn=lambda: self.fragment_table_size)
+        m.register(_METRICS, self)
 
     # -- programming ---------------------------------------------------------
     def install(self, pattern: Pattern) -> int:
@@ -135,30 +193,35 @@ class Pathfinder:
         if len(self._patterns) >= self.max_patterns:
             raise RuntimeError("PATHFINDER pattern memory exhausted")
         self._classify_cache.clear()
-        cells = self._root
-        last_index = len(pattern.elements) - 1
-        for i, elem in enumerate(pattern.elements):
-            cell = self._find_or_add_cell(cells, elem.key())
-            if i == last_index:
-                if elem.value in cell.accept:
-                    raise ValueError(
-                        "an identical pattern is already installed"
-                    )
-                cell.accept[elem.value] = (pattern.pattern_id, pattern.target)
-            else:
-                cells = cell.edges.setdefault(elem.value, [])
+        if self._shared:
+            self._rebuild(self._patterns.values())
+        _add_to_dag(self._root, pattern)
         self._patterns[pattern.pattern_id] = pattern
         return pattern.pattern_id
 
-    def _find_or_add_cell(
-        self, cells: List[_Cell], key: Tuple[int, int, int]
-    ) -> _Cell:
-        for c in cells:
-            if c.key == key:
-                return c
-        c = _Cell(key)
-        cells.append(c)
-        return c
+    def install_set(self, patterns: PatternSet) -> None:
+        """Program a whole :class:`PatternSet` after the installed
+        patterns, exactly as installing each pattern in order would.
+        An empty classifier adopts the set's DAG without copying it."""
+        if len(self._patterns) + len(patterns) > self.max_patterns:
+            raise RuntimeError("PATHFINDER pattern memory exhausted")
+        if self._patterns:
+            for p in patterns.patterns:
+                self.install(p)
+            return
+        self._classify_cache.clear()
+        self._root = patterns._root
+        self._patterns = patterns._by_id
+        self._shared = True
+
+    def _rebuild(self, patterns: Iterable[Pattern]) -> None:
+        """Give this classifier a private DAG holding ``patterns``."""
+        self._root = []
+        self._patterns = {}
+        self._shared = False
+        for p in sorted(patterns, key=lambda p: p.pattern_id):
+            _add_to_dag(self._root, p)
+            self._patterns[p.pattern_id] = p
 
     def remove(self, pattern_id: int) -> None:
         """Remove a pattern (connection teardown).
@@ -169,11 +232,8 @@ class Pathfinder:
         if pattern_id not in self._patterns:
             raise KeyError(f"pattern {pattern_id} not installed")
         self._classify_cache.clear()
-        survivors = [p for pid, p in self._patterns.items() if pid != pattern_id]
-        self._root = []
-        self._patterns = {}
-        for p in sorted(survivors, key=lambda p: p.pattern_id):
-            self.install(p)
+        self._rebuild(p for pid, p in self._patterns.items()
+                      if pid != pattern_id)
 
     @property
     def pattern_count(self) -> int:

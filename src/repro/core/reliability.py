@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..network import Packet, PacketKind
-from ..obs import MetricsScope, private_scope
+from ..obs import MetricsScope, MetricTemplate, private_scope
 from ..params import SimParams
 
 __all__ = ["DeliveryFailed", "ReliableTransport"]
@@ -54,6 +54,21 @@ class DeliveryFailed(RuntimeError):
             f"chan={packet.channel_id} seq={packet.rel_seq} "
             f"unacked after {attempts} attempts"
         )
+
+    def __reduce__(self):
+        return type(self), (self.packet, self.attempts), self.__dict__
+
+
+_METRICS = MetricTemplate(
+    ("counter", "retransmits", "retransmits"),
+    ("counter", "timeouts", "timeouts"),
+    ("counter", "dup_drops", "dup_drops"),
+    ("counter", "acks_sent", "acks_sent"),
+    ("counter", "acks_received", "acks_received"),
+    ("counter", "reorder_buffered", "reorder_buffered"),
+    ("counter", "delivery_failures", "delivery_failures"),
+    ("gauge", "outstanding_hwm", None),
+)
 
 
 @dataclass
@@ -95,7 +110,6 @@ class ReliableTransport:
         #: caller took ownership of recovery and no DeliveryFailed is
         #: raised (the messaging runtime's bounded eager-retry policy).
         self._failure_sink = None
-        m = metrics if metrics is not None else private_scope()
         self.retransmits = 0
         self.timeouts = 0
         self.dup_drops = 0
@@ -103,14 +117,8 @@ class ReliableTransport:
         self.acks_received = 0
         self.reorder_buffered = 0
         self.delivery_failures = 0
-        m.counter("retransmits", fn=lambda: self.retransmits)
-        m.counter("timeouts", fn=lambda: self.timeouts)
-        m.counter("dup_drops", fn=lambda: self.dup_drops)
-        m.counter("acks_sent", fn=lambda: self.acks_sent)
-        m.counter("acks_received", fn=lambda: self.acks_received)
-        m.counter("reorder_buffered", fn=lambda: self.reorder_buffered)
-        m.counter("delivery_failures", fn=lambda: self.delivery_failures)
-        self._g_outstanding = m.gauge("outstanding_hwm")
+        m = metrics if metrics is not None else private_scope()
+        self._g_outstanding = m.register(_METRICS, self)["outstanding_hwm"]
         #: next sequence number per (dst_node, channel_id)
         self._next_seq: Dict[Tuple[int, int], int] = {}
         #: unacked sends keyed (dst_node, channel_id, seq)

@@ -59,10 +59,14 @@ class StuckError(SimulationError):
     message keeps the historical ``application deadlock: ...`` prefix."""
 
     def __init__(self, message: str, report: Optional[StuckReport] = None):
+        self.summary = message
         if report is not None and report.waits:
             message = f"{message}\n{report.format()}"
         super().__init__(message)
         self.report = report
+
+    def __reduce__(self):
+        return type(self), (self.summary, self.report), self.__dict__
 
 
 class Interrupt(Exception):

@@ -35,7 +35,7 @@ from ..obs import aggregate_nodes
 from ..params import SimParams
 from ..runtime import Cluster, MessagingService
 from .export import GLOBAL_METRICS_LOG
-from .parallel import RunSpec, run_map
+from .parallel import RunFailure, RunSpec, run_map
 from .results import SeriesResult, TableResult
 
 DEFAULT_PROCS = (1, 2, 4, 8, 16, 32)
@@ -325,6 +325,11 @@ def fault_sweep_experiment(
     Goodput counts only payload bytes delivered to dispatch after
     duplicate suppression (``nic.rx.payload_bytes``), so retransmitted
     copies do not inflate it.
+
+    A point whose run ends in a typed failure — at high loss rates a
+    packet can exhaust the transport's retry budget — is a result, not
+    a crash: its values are NaN and the notes name the failure (e.g.
+    ``cni @ 0.02: delivery failed``).
     """
     base = base_params or SimParams()
     result = SeriesResult(
@@ -342,9 +347,18 @@ def fault_sweep_experiment(
         for iface in ("cni", "standard"):
             specs.append(RunSpec(app, params, iface, workload,
                                  meta=(("cell_loss_rate", float(rate)),)))
-    runs = run_map(specs, jobs=jobs)
+    runs = run_map(specs, jobs=jobs, on_error="record")
+    failures = []
     for spec, stats in zip(specs, runs):
         iface = spec.interface
+        if isinstance(stats, RunFailure):
+            what = ("delivery failed" if stats.error_type == "DeliveryFailed"
+                    else stats.error_type)
+            failures.append(f"{iface} @ {dict(spec.meta)['cell_loss_rate']:g}:"
+                            f" {what}")
+            for series in ("completion_ms", "goodput_mbps", "retransmits"):
+                result.add_point(f"{iface}_{series}", float("nan"))
+            continue
         agg = aggregate_nodes(stats.metrics)
         payload = agg.get("nic.rx.payload_bytes", 0.0)
         seconds = stats.elapsed_ns / 1e9
@@ -354,6 +368,7 @@ def fault_sweep_experiment(
             payload * 8 / seconds / 1e6 if seconds > 0 else 0.0)
         result.add_point(f"{iface}_retransmits",
                          agg.get("nic.reliab.retransmits", 0.0))
+    result.notes = "; ".join(failures)
     result.validate()
     return result
 
@@ -376,7 +391,6 @@ def failures_experiment(
     from ..apps import JacobiConfig
     from ..collectives import CollBenchConfig
     from ..faults import LinkDown, NodeCrash
-    from .parallel import RunFailure
 
     base = base_params or SimParams()
     base = base.replace(

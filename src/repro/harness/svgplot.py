@@ -21,6 +21,7 @@ or from the command line::
 from __future__ import annotations
 
 import html
+import math
 from typing import List, Optional, Sequence, Tuple
 
 from .results import SeriesResult
@@ -96,9 +97,10 @@ def render_series_svg(
     plot_h = height - margin_t - margin_b
 
     xs = result.xs
-    ys_all = [v for n in names for v in result.series[n]]
+    # NaN marks a failed point (e.g. a fault-sweep run that died): a gap.
+    ys_all = [v for n in names for v in result.series[n] if not math.isnan(v)]
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys_all + [0.0]), max(ys_all)
+    y_lo, y_hi = min(ys_all + [0.0]), max(ys_all, default=0.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1
     if y_hi == y_lo:
@@ -162,7 +164,8 @@ def render_series_svg(
     for i, name in enumerate(names):
         color = PALETTE[i % len(PALETTE)]
         marker = MARKERS[i % len(MARKERS)]
-        pts = [(sx(x), sy(y)) for x, y in zip(xs, result.series[name])]
+        pts = [(sx(x), sy(y)) for x, y in zip(xs, result.series[name])
+               if not math.isnan(y)]
         path = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
         parts.append(
             f'<polyline points="{path}" fill="none" stroke="{color}" '

@@ -24,8 +24,16 @@ from typing import Callable, Generator, List, Optional
 import numpy as np
 
 from ..engine import Resource, Simulator
-from ..obs import MetricsScope, SpanTracer, private_scope
+from ..obs import MetricsScope, MetricTemplate, SpanTracer, private_scope
 from ..params import SimParams
+
+_METRICS = MetricTemplate(
+    ("counter", "dma_transfers", "dma_transfers"),
+    ("counter", "dma_bytes", "dma_bytes"),
+    ("counter", "snooped_writeback_words", "writeback_words"),
+    ("counter", "snooped_writebacks", "snooped_writebacks"),
+    ("gauge", "utilization_ns", "utilization_ns"),
+)
 
 #: A snooper receives ``(node_id, line_numbers)`` for bus write traffic.
 Snooper = Callable[[int, np.ndarray], None]
@@ -48,11 +56,7 @@ class MemoryBus:
         self.writeback_words = 0
         self.snooped_writebacks = 0
         m = metrics if metrics is not None else private_scope()
-        m.counter("dma_transfers", fn=lambda: self.dma_transfers)
-        m.counter("dma_bytes", fn=lambda: self.dma_bytes)
-        m.counter("snooped_writeback_words", fn=lambda: self.writeback_words)
-        m.counter("snooped_writebacks", fn=lambda: self.snooped_writebacks)
-        m.gauge("utilization_ns", fn=lambda: self.utilization_ns)
+        m.register(_METRICS, self)
 
     # -- snooping -------------------------------------------------------------
     def add_snooper(self, snooper: Snooper) -> None:

@@ -72,7 +72,14 @@ def _classify_burst(
 
 
 class CacheLevel:
-    """One direct-mapped cache level."""
+    """One direct-mapped cache level.
+
+    The tag and dirty arrays are allocated on the level's first burst:
+    until then every set is empty, which the read-only queries answer
+    without allocating.  A 1024-node cluster whose workload never
+    touches memory (collectives, messaging) thus carries no cache
+    state.
+    """
 
     def __init__(self, size_bytes: int, line_bytes: int, name: str,
                  track_dirty: bool):
@@ -84,8 +91,27 @@ class CacheLevel:
         self.nsets = size_bytes // line_bytes
         self.line_bytes = line_bytes
         self.track_dirty = track_dirty
-        self.tags = np.full(self.nsets, -1, dtype=np.int64)
-        self.dirty = np.zeros(self.nsets, dtype=bool)
+        self._tags: Optional[np.ndarray] = None
+        self._dirty: Optional[np.ndarray] = None
+
+    def _allocate(self) -> None:
+        """First touch: every set starts empty and clean."""
+        self._tags = np.full(self.nsets, -1, dtype=np.int64)
+        self._dirty = np.zeros(self.nsets, dtype=bool)
+
+    @property
+    def tags(self) -> np.ndarray:
+        """Resident line per set (-1 when empty)."""
+        if self._tags is None:
+            self._allocate()
+        return self._tags
+
+    @property
+    def dirty(self) -> np.ndarray:
+        """Per-set dirty bit."""
+        if self._dirty is None:
+            self._allocate()
+        return self._dirty
 
     def burst(self, lines: np.ndarray, is_write: bool) -> BurstResult:
         """Feed a program-ordered homogeneous burst through this level.
@@ -96,8 +122,12 @@ class CacheLevel:
         n = lines.size
         if n == 0:
             return BurstResult(0, 0, np.empty(0, dtype=np.int64))
+        if self._tags is None:
+            self._allocate()
+        tags = self._tags
+        dirty = self._dirty
 
-        hit, order, sl, ss, first = _classify_burst(self.tags, lines)
+        hit, order, sl, ss, first = _classify_burst(tags, lines)
         miss = ~hit
 
         # Per-set-group bookkeeping.  Within a group, every access before
@@ -111,8 +141,8 @@ class CacheLevel:
         if self.track_dirty:
             # Entry occupants evicted by each group's first miss.
             gs_set = ss[group_starts]
-            entry_tag = self.tags[gs_set]
-            entry_dirty = self.dirty[gs_set]
+            entry_tag = tags[gs_set]
+            entry_dirty = dirty[gs_set]
             evict_entry = has_miss & (entry_tag >= 0)
             if is_write:
                 # A hit-write before the first miss dirties the occupant
@@ -144,13 +174,13 @@ class CacheLevel:
         final_lines = sl[last]
         if self.track_dirty:
             if is_write:
-                self.dirty[final_sets] = True
+                dirty[final_sets] = True
             else:
                 # Any miss in a read burst replaces the entry occupant;
                 # everything loaded during the burst is clean.  Groups
                 # with no miss leave the entry dirtiness untouched.
-                self.dirty[final_sets[has_miss]] = False
-        self.tags[final_sets] = final_lines
+                dirty[final_sets[has_miss]] = False
+        tags[final_sets] = final_lines
 
         if evicted and sum(e.size for e in evicted):
             ev = np.concatenate(evicted)
@@ -160,11 +190,15 @@ class CacheLevel:
 
     def resident(self, line: int) -> bool:
         """Whether ``line`` currently occupies its set."""
-        return bool(self.tags[line % self.nsets] == line)
+        if self._tags is None:
+            return False
+        return bool(self._tags[line % self.nsets] == line)
 
     def resident_mask(self, lines: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`resident`."""
-        return self.tags[lines % self.nsets] == lines
+        if self._tags is None:
+            return np.zeros(np.shape(lines), dtype=bool)
+        return self._tags[lines % self.nsets] == lines
 
     def drop(self, lines: np.ndarray) -> np.ndarray:
         """Invalidate ``lines`` where resident; returns the dirty ones.
@@ -172,15 +206,17 @@ class CacheLevel:
         Used for DSM page invalidation (the protocol owns the data, so
         dirty copies are discarded, not written back).
         """
+        if self._tags is None:
+            return lines[:0]
         sets = lines % self.nsets
-        here = self.tags[sets] == lines
+        here = self._tags[sets] == lines
         sets = sets[here]
         if self.track_dirty:
-            was_dirty = self.dirty[sets]
+            was_dirty = self._dirty[sets]
         else:
             was_dirty = np.zeros(sets.size, dtype=bool)
-        self.tags[sets] = -1
-        self.dirty[sets] = False
+        self._tags[sets] = -1
+        self._dirty[sets] = False
         return lines[here][was_dirty]
 
     def clean(self, lines: np.ndarray) -> np.ndarray:
@@ -188,21 +224,21 @@ class CacheLevel:
 
         Returns the lines actually written back (bus/snoop traffic).
         """
-        if not self.track_dirty:
+        if not self.track_dirty or self._tags is None:
             return np.empty(0, dtype=np.int64)
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         sets = lines % self.nsets
-        target = (self.tags[sets] == lines) & self.dirty[sets]
-        self.dirty[sets[target]] = False
+        target = (self._tags[sets] == lines) & self._dirty[sets]
+        self._dirty[sets[target]] = False
         return lines[target]
 
     def dirty_subset(self, lines: np.ndarray) -> np.ndarray:
         """The subset of ``lines`` currently resident and dirty."""
-        if not self.track_dirty:
+        if not self.track_dirty or self._tags is None:
             return np.empty(0, dtype=np.int64)
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         sets = lines % self.nsets
-        mask = (self.tags[sets] == lines) & self.dirty[sets]
+        mask = (self._tags[sets] == lines) & self._dirty[sets]
         return lines[mask]
 
 
@@ -259,17 +295,22 @@ class CacheHierarchy:
         cost = AccessCost(accesses=int(lines.size))
         if lines.size == 0:
             return cost
+        l1, l2 = self.l1, self.l2
+        if l1._tags is None:
+            l1._allocate()
+        if l2._tags is None:
+            l2._allocate()
 
         # Classify against the entry state so the exact in-order L1 miss
         # stream can be reconstructed for the L2.
-        hit, order, _sl, _ss, _first = _classify_burst(self.l1.tags, lines)
-        self.l1.burst(lines, is_write)
+        hit, order, _sl, _ss, _first = _classify_burst(l1._tags, lines)
+        l1.burst(lines, is_write)
         cost.l1_hits = int(hit.sum())
 
         miss_positions = np.sort(order[~hit])
         miss_stream = lines[miss_positions]
 
-        r2 = self.l2.burst(miss_stream, is_write)
+        r2 = l2.burst(miss_stream, is_write)
         cost.l2_hits = r2.hits
         cost.memory_accesses = r2.misses
 
@@ -283,9 +324,9 @@ class CacheHierarchy:
             # mark.  The reorder can only matter when one burst spans an
             # L2 set conflict (>1 MB apart with Table 1's geometry),
             # which page-granular application bursts never do.
-            sets = lines % self.l2.nsets
-            resident = self.l2.tags[sets] == lines
-            self.l2.dirty[sets[resident]] = True
+            sets = lines % l2.nsets
+            resident = l2._tags[sets] == lines
+            l2._dirty[sets[resident]] = True
 
         cost.cpu_cycles = float(
             lines.size * self.l1_cycles

@@ -33,6 +33,7 @@ from .metrics import (
     MetricError,
     MetricsRegistry,
     MetricsScope,
+    MetricTemplate,
     private_scope,
     registry_from_snapshot,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "MetricsScope",
+    "MetricTemplate",
     "SpanHandle",
     "SpanTracer",
     "aggregate_nodes",

@@ -24,6 +24,11 @@ Counters and gauges may be *function-sourced* (``fn=...``): the value is
 pulled from the component's own attribute at read time, so instrumenting
 existing code never duplicates bookkeeping on the hot path.
 
+Components built once per node declare their metrics as a
+:class:`MetricTemplate`, validated once at import, and register the
+whole set under a node's scope in one :meth:`MetricsScope.register`
+call.
+
 The registry also supports *probes* — callbacks run before every
 snapshot — for metric sets whose names are only known at run time (the
 cluster-wide :class:`~repro.engine.Counters` bag is exported this way).
@@ -35,6 +40,7 @@ layer above it may import it without cycles.
 from __future__ import annotations
 
 import bisect
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Default fixed buckets for latency histograms, in nanoseconds.  The
@@ -48,6 +54,22 @@ DEFAULT_LATENCY_BUCKETS_NS: Tuple[float, ...] = (
 
 class MetricError(ValueError):
     """Registration or aggregation misuse of the metrics registry."""
+
+
+def _check_name(name: str) -> None:
+    if not name or name.startswith(".") or name.endswith("."):
+        raise MetricError(f"bad metric name {name!r}")
+
+
+def _check_bounds(name: str, buckets: Sequence[float]) -> Tuple[float, ...]:
+    bounds = tuple(float(b) for b in buckets)
+    if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+        raise MetricError(
+            f"histogram {name!r} buckets must be strictly increasing")
+    return bounds
+
+
+_DEFAULT_BOUNDS = _check_bounds("default", DEFAULT_LATENCY_BUCKETS_NS)
 
 
 class Counter:
@@ -143,10 +165,10 @@ class Histogram:
 
     def __init__(self, name: str,
                  buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_NS):
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise MetricError(
-                f"histogram {name!r} buckets must be strictly increasing")
+        if buckets is DEFAULT_LATENCY_BUCKETS_NS:
+            bounds = _DEFAULT_BOUNDS
+        else:
+            bounds = _check_bounds(name, buckets)
         self.name = name
         self.bounds = bounds
         self.counts = [0] * (len(bounds) + 1)  # + overflow bucket
@@ -204,6 +226,39 @@ def _join(prefix: str, name: str) -> str:
     return f"{prefix}.{name}" if prefix else name
 
 
+class MetricTemplate:
+    """A fixed list of metric declarations, validated once and
+    registered in bulk under any number of scopes.
+
+    Each entry is ``(kind, name, reader)``: ``kind`` is ``"counter"``,
+    ``"gauge"`` or ``"histogram"``; ``name`` is relative to the scope.
+    A ``reader`` makes a counter or gauge function-sourced: an attribute
+    name read from the source object at snapshot time, or a callable
+    applied to the source.  ``None`` declares a stored metric the
+    component writes itself.  Histograms are stored, on the default
+    latency buckets.
+    """
+
+    __slots__ = ("entries",)
+
+    def __init__(self, *entries: Tuple[str, str, Any]):
+        classes = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+        seen = set()
+        plan = []
+        for kind, name, reader in entries:
+            if kind not in classes:
+                raise MetricError(f"{name!r}: unknown metric kind {kind!r}")
+            _check_name(name)
+            if name in seen:
+                raise MetricError(f"{name!r} declared twice")
+            if kind == "histogram" and reader is not None:
+                raise MetricError(f"histogram {name!r} cannot have a reader")
+            seen.add(name)
+            plan.append((name, classes[kind], reader, isinstance(reader, str)))
+        #: ``(name, metric class, reader, reader is an attribute name)``
+        self.entries = tuple(plan)
+
+
 class MetricsRegistry:
     """The per-cluster store of every metric, keyed by dotted name."""
 
@@ -213,8 +268,7 @@ class MetricsRegistry:
 
     # -- registration (get-or-create) ------------------------------------------
     def _get_or_create(self, name: str, factory, kind: str) -> Metric:
-        if not name or name.startswith(".") or name.endswith("."):
-            raise MetricError(f"bad metric name {name!r}")
+        _check_name(name)
         metric = self._metrics.get(name)
         if metric is None:
             metric = factory()
@@ -241,6 +295,35 @@ class MetricsRegistry:
         """Get or create the histogram ``name``."""
         return self._get_or_create(name, lambda: Histogram(name, buckets),
                                    "histogram")
+
+    def register(self, template: MetricTemplate, prefix: str = "",
+                 source: Any = None) -> Dict[str, Metric]:
+        """Get or create every metric of ``template`` under ``prefix``,
+        with readers bound to ``source``; returns ``{relative name:
+        metric}``.  The names were validated when the template was
+        built, so this does no per-name checking beyond kind conflicts
+        with metrics already registered."""
+        metrics = self._metrics
+        out: Dict[str, Metric] = {}
+        if prefix:
+            _check_name(prefix)
+        dotted = f"{prefix}." if prefix else ""
+        for name, cls, reader, by_attr in template.entries:
+            full = dotted + name
+            metric = metrics.get(full)
+            if metric is None:
+                if reader is None:
+                    metric = cls(full)
+                elif by_attr:
+                    metric = cls(full, partial(getattr, source, reader))
+                else:
+                    metric = cls(full, partial(reader, source))
+                metrics[full] = metric
+            elif metric.kind != cls.kind:
+                raise MetricError(f"{full!r} already registered as a "
+                                  f"{metric.kind}, not a {cls.kind}")
+            out[name] = metric
+        return out
 
     def scope(self, prefix: str) -> "MetricsScope":
         """A view of this registry under ``prefix`` (may be empty)."""
@@ -357,6 +440,12 @@ class MetricsScope:
                   ) -> Histogram:
         """Get or create ``<prefix>.<name>`` as a histogram."""
         return self.registry.histogram(_join(self.prefix, name), buckets)
+
+    def register(self, template: MetricTemplate,
+                 source: Any = None) -> Dict[str, Metric]:
+        """Register ``template`` under this scope in one call (see
+        :meth:`MetricsRegistry.register`)."""
+        return self.registry.register(template, self.prefix, source)
 
     def scope(self, sub: str) -> "MetricsScope":
         """A nested scope: ``<prefix>.<sub>``."""

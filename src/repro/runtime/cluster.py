@@ -17,6 +17,7 @@ from ..collectives import (
     CollMsgType,
     make_collective_engine,
 )
+from ..core import PROTOCOL_KINDS, connection_patterns
 from ..dsm import DsmEngine, HomePolicy, MsgType, SharedSegment
 from ..dsm.eager import EagerDsmEngine
 from ..engine import (
@@ -28,8 +29,8 @@ from ..engine import (
     Tracer,
 )
 from ..memory import AddressSpace
-from ..network import Network
-from ..obs import MetricsRegistry, SpanTracer
+from ..network import Network, PacketKind
+from ..obs import MetricsRegistry, MetricTemplate, SpanTracer
 from ..params import SimParams, cni_params, standard_interface_params
 from .context import Context
 from .node import DSM_HANDLER_CODE_BYTES, Node
@@ -95,13 +96,13 @@ class Cluster:
             self.network.register_metrics(self.metrics.scope("net"))
         # Fault-injection damage per destination node (zero on a clean
         # fabric; registered unconditionally so the catalog is stable).
-        net = self.network
+        faults = MetricTemplate(
+            ("counter", "cells_dropped", self.network.fault_cells_dropped),
+            ("counter", "cells_corrupted",
+             self.network.fault_cells_corrupted),
+        )
         for i in range(params.num_processors):
-            fscope = self.metrics.scope(f"node{i}.faults")
-            fscope.counter("cells_dropped",
-                           fn=lambda i=i: net.fault_cells_dropped(i))
-            fscope.counter("cells_corrupted",
-                           fn=lambda i=i: net.fault_cells_corrupted(i))
+            self.metrics.register(faults, f"node{i}.faults", i)
         self.asp = AddressSpace(
             page_size=params.page_size_bytes,
             dsm_pages=params.dsm_address_space_pages,
@@ -156,45 +157,40 @@ class Cluster:
         """Connection setup: channels, handler installation, mappings.
 
         This is the kernel-mediated, off-critical-path phase (Section
-        2.1/2.3): open a device channel per node, install the DSM
-        protocol's AIH object code, and mirror the DSM mappings onto the
-        boards so snooping and virtually-addressed DMA resolve.
+        2.1/2.3): open a device channel per node, install the protocol
+        AIH object code, and program the PATHFINDER to activate it.
         """
-        for node in self.nodes:
-            if self.interface == "cni":
-                # One cluster-wide connection for the single parallel
-                # application: every node uses channel id 1 so that any
-                # sender's packets match any receiver's demux pattern.
-                ch = node.nic.open_channel(owner_app=node.node_id,
-                                           channel_id=1)
-                node.dsm_channel_id = ch.channel_id
-                # The whole address space is granted to the single
-                # parallel application (the paper's stated assumption).
-                ch.grant_buffer(0, self.asp.dsm_limit)
-                per_type = DSM_HANDLER_CODE_BYTES // len(MsgType)
-                for mt in MsgType:
-                    node.nic.install_protocol_handler(
-                        int(mt), node.engine.handle_packet, per_type
-                    )
-                # Collective AIHs: with the NIC-resident engine these
-                # hold the gather/release protocol; with the host engine
-                # the same patterns classify the packets but the handler
-                # is a bounce-to-host trampoline (the engine prices it).
-                per_coll = COLL_HANDLER_CODE_BYTES // len(CollMsgType)
-                for cmt in CollMsgType:
-                    node.nic.install_collective_handler(
-                        int(cmt), node.coll.handle_packet, per_coll
-                    )
-                # Messaging-runtime AIHs: the rendezvous responder and
-                # RDMA window logic run on the NI processor (with AIH
-                # ablated away the same patterns bounce to the host).
-                per_rt = RT_HANDLER_CODE_BYTES // len(RtMsgType)
-                for rmt in RtMsgType:
-                    node.nic.install_runtime_handler(
-                        int(rmt), node.rt.handle_packet, per_rt
-                    )
-            else:
+        if self.interface != "cni":
+            for node in self.nodes:
                 node.dsm_channel_id = 1
+            return
+        # One cluster-wide connection for the single parallel
+        # application: every node uses channel id 1 so that any sender's
+        # packets match any receiver's demux pattern, and every board
+        # runs the same PATHFINDER program, built once here.  Three
+        # handler families share the handler memory: the DSM protocol
+        # (activated by protocol and page packets), the collectives
+        # (with the host engine the handler bounces to the host, which
+        # the engine prices) and the messaging runtime's rendezvous
+        # responder and RDMA window logic.
+        patterns = connection_patterns(
+            1, [(int(t), PROTOCOL_KINDS) for t in MsgType]
+            + [(int(t), (PacketKind.COLLECTIVE,)) for t in CollMsgType]
+            + [(int(t), (PacketKind.RUNTIME,)) for t in RtMsgType])
+        per_dsm = DSM_HANDLER_CODE_BYTES // len(MsgType)
+        per_coll = COLL_HANDLER_CODE_BYTES // len(CollMsgType)
+        per_rt = RT_HANDLER_CODE_BYTES // len(RtMsgType)
+        for node in self.nodes:
+            handlers = (
+                [(int(t), node.engine.handle_packet, per_dsm) for t in MsgType]
+                + [(int(t), node.coll.handle_packet, per_coll)
+                   for t in CollMsgType]
+                + [(int(t), node.rt.handle_packet, per_rt) for t in RtMsgType])
+            ch = node.nic.open_connection(node.node_id, 1, handlers, patterns)
+            node.dsm_channel_id = ch.channel_id
+            # The whole address space is granted to the single parallel
+            # application (the paper's stated assumption).
+            ch.grant_buffer(0, self.asp.dsm_limit)
 
     # ----------------------------------------------------------------- memory --
     def alloc_shared(self, shape, dtype=np.float64):

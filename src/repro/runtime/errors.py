@@ -33,6 +33,12 @@ class RuntimeTimeout(MessagingError):
         super().__init__(
             f"{op} deadline expired after {deadline_ns:.0f} ns{where}")
 
+    def __reduce__(self):
+        # Rebuild from the constructor arguments, not from ``args`` (the
+        # formatted message), so the error crosses process boundaries.
+        return (type(self), (self.op, self.peer, self.deadline_ns),
+                self.__dict__)
+
 
 class PeerDead(RuntimeTimeout):
     """A deadline expired *and* the failure detector suspects the peer —

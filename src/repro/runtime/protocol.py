@@ -41,6 +41,7 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from ..engine import Category, SimulationError
 from ..network import Packet, PacketKind
+from ..obs import MetricTemplate
 from ..params import SimParams
 from ..dsm.messages import MSG_BASE_BYTES
 from .errors import PeerDead, RuntimeTimeout
@@ -179,6 +180,18 @@ class _RdvIn:
     received: int = 0
 
 
+_METRICS = MetricTemplate(
+    *(("counter", name, None) for name in (
+        "eager_sends", "rendezvous_sends", "remote_reads", "remote_writes",
+        "bytes_sent", "rdma_bytes", "rts_sent", "cts_sent", "rdv_chunks",
+        "nic_steps", "host_steps", "op_timeouts", "peer_dead",
+        "eager_retries")),
+    *(("histogram", name, None) for name in (
+        "eager_ns", "rendezvous_ns", "remote_read_ns", "remote_write_ns",
+        "msg_rtt_ns")),
+)
+
+
 class MessagingEngine:
     """Per-node protocol engine for ``PacketKind.RUNTIME`` packets."""
 
@@ -210,26 +223,26 @@ class MessagingEngine:
         #: Eager-retry rounds already granted, keyed by packet_id.
         self._retry_rounds: Dict[int, int] = {}
 
-        scope = node.metrics.scope("runtime")
-        self._m_eager = scope.counter("eager_sends")
-        self._m_rdv = scope.counter("rendezvous_sends")
-        self._m_reads = scope.counter("remote_reads")
-        self._m_writes = scope.counter("remote_writes")
-        self._m_bytes = scope.counter("bytes_sent")
-        self._m_rdma_bytes = scope.counter("rdma_bytes")
-        self._m_rts = scope.counter("rts_sent")
-        self._m_cts = scope.counter("cts_sent")
-        self._m_chunks = scope.counter("rdv_chunks")
-        self._m_nic_steps = scope.counter("nic_steps")
-        self._m_host_steps = scope.counter("host_steps")
-        self._m_op_timeouts = scope.counter("op_timeouts")
-        self._m_peer_dead = scope.counter("peer_dead")
-        self._m_eager_retries = scope.counter("eager_retries")
-        self._m_eager_ns = scope.histogram("eager_ns")
-        self._m_rdv_ns = scope.histogram("rendezvous_ns")
-        self._m_read_ns = scope.histogram("remote_read_ns")
-        self._m_write_ns = scope.histogram("remote_write_ns")
-        self._m_rtt_ns = scope.histogram("msg_rtt_ns")
+        m = node.metrics.scope("runtime").register(_METRICS)
+        self._m_eager = m["eager_sends"]
+        self._m_rdv = m["rendezvous_sends"]
+        self._m_reads = m["remote_reads"]
+        self._m_writes = m["remote_writes"]
+        self._m_bytes = m["bytes_sent"]
+        self._m_rdma_bytes = m["rdma_bytes"]
+        self._m_rts = m["rts_sent"]
+        self._m_cts = m["cts_sent"]
+        self._m_chunks = m["rdv_chunks"]
+        self._m_nic_steps = m["nic_steps"]
+        self._m_host_steps = m["host_steps"]
+        self._m_op_timeouts = m["op_timeouts"]
+        self._m_peer_dead = m["peer_dead"]
+        self._m_eager_retries = m["eager_retries"]
+        self._m_eager_ns = m["eager_ns"]
+        self._m_rdv_ns = m["rendezvous_ns"]
+        self._m_read_ns = m["remote_read_ns"]
+        self._m_write_ns = m["remote_write_ns"]
+        self._m_rtt_ns = m["msg_rtt_ns"]
 
     # ------------------------------------------------------------ app-side --
     def new_op_id(self) -> int:

@@ -34,6 +34,9 @@ class FarmError(RuntimeError):
         self.status = status
         self.message = message
 
+    def __reduce__(self):
+        return type(self), (self.status, self.message), self.__dict__
+
 
 def _spec_doc(spec: Union[RunSpec, Dict[str, Any]]) -> Dict[str, Any]:
     if isinstance(spec, RunSpec):

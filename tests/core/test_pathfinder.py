@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Pathfinder, Pattern, PatternElement
+from repro.core import Pathfinder, Pattern, PatternElement, PatternSet
 from repro.network import Packet, PacketKind
 
 
@@ -192,3 +192,83 @@ def test_dag_agrees_with_naive_matcher(case):
                 expected = p.target
                 break
         assert pf.classify(h) == expected
+
+
+# -- shared pattern sets --------------------------------------------------------
+
+def test_pattern_set_is_adopted_without_copying():
+    shared = PatternSet([
+        Pattern(elements=(elem(0, 1, int(PacketKind.DATA)), elem(6, 2, c)),
+                target=c)
+        for c in (1, 2)])
+    a, b = Pathfinder(), Pathfinder()
+    a.install_set(shared)
+    b.install_set(shared)
+    assert a._root is b._root and a.pattern_count == 2
+    a.install(Pattern(elements=(elem(6, 2, 7),), target="late"))
+    assert a._root is not b._root
+    assert a.classify(header(chan=7)) == "late"
+    assert b.classify(header(chan=7)) is None
+    assert b.classify(header(chan=2)) == 2
+
+
+def test_pattern_set_rejects_duplicates_and_overflow():
+    p = Pattern(elements=(elem(6, 2, 5),), target="a")
+    with pytest.raises(ValueError):
+        PatternSet([p, Pattern(elements=(elem(6, 2, 5),), target="b")])
+    pf = Pathfinder(max_patterns=1)
+    with pytest.raises(RuntimeError):
+        pf.install_set(PatternSet([p, Pattern(elements=(elem(6, 2, 6),),
+                                              target="b")]))
+    assert pf.pattern_count == 0
+
+
+@st.composite
+def shared_then_private(draw):
+    patterns, headers = draw(patterns_and_headers())
+    unique, seen = [], set()
+    for p in patterns:
+        if p.elements not in seen:
+            seen.add(p.elements)
+            unique.append(p)
+    split = draw(st.integers(0, len(unique)))
+    ops = draw(st.lists(st.tuples(st.sampled_from(["install", "remove"]),
+                                  st.integers(0, 20)), max_size=6))
+    return unique[:split], unique[split:], ops, headers
+
+
+@given(shared_then_private())
+@settings(max_examples=150, deadline=None)
+def test_bulk_install_then_changes_classify_like_sequential(case):
+    """A board programmed from a shared set, then changed on its own,
+    classifies exactly like one programmed pattern by pattern; the
+    other boards sharing the set are unaffected."""
+    shared, extra, ops, headers = case
+    pset = PatternSet(shared)
+    bulk, other, seq, fresh = Pathfinder(), Pathfinder(), Pathfinder(), Pathfinder()
+    bulk.install_set(pset)
+    other.install_set(pset)
+    for p in shared:
+        seq.install(p)
+        fresh.install(p)
+    pending = list(extra)
+    for op, pick in ops:
+        for pf in (bulk, seq):
+            if op == "install" and pending:
+                pf.install(pending[0])
+            elif op == "remove" and seq.pattern_count:
+                ids = sorted(seq._patterns)
+                pf.remove(ids[pick % len(ids)])
+        if op == "install" and pending:
+            pending.pop(0)
+    assert bulk.pattern_count == seq.pattern_count
+    for p in shared + extra:  # plus a header aimed at every pattern
+        h = bytearray(headers[0])
+        for e in p.elements:
+            word = int.from_bytes(h[e.offset:e.offset + e.length], "big")
+            word = (word & ~e.mask) | e.value
+            h[e.offset:e.offset + e.length] = word.to_bytes(e.length, "big")
+        headers.append(bytes(h))
+    for h in headers:
+        assert bulk.classify(h) == seq.classify(h)
+        assert other.classify(h) == fresh.classify(h)

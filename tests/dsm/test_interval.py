@@ -72,6 +72,25 @@ def test_missing_for():
     assert log.missing_for([3, 0, 1]) == []
 
 
+def test_lanes_exist_only_for_procs_heard_from():
+    log = IntervalLog(1024)
+    log.record(interval(700, 1))
+    log.record(interval(3, 1))
+    assert sorted(log._log) == [3, 700]
+    assert [iv.proc for iv in log.missing_for([0] * 1024)] == [3, 700]
+    assert log.known_seq(5) == 0 and log.intervals_of(5) == []
+
+
+def test_out_of_range_procs_rejected():
+    log = IntervalLog(2)
+    with pytest.raises(IndexError):
+        log.record(interval(2, 1))
+    with pytest.raises(IndexError):
+        log.known_seq(-1)
+    with pytest.raises(IndexError):
+        log.intervals_of(2)
+
+
 def test_intervals_of():
     log = IntervalLog(2)
     log.record(interval(1, 1))

@@ -1,5 +1,7 @@
 """Smoke + shape tests for the experiment harness at tiny scale."""
 
+import math
+
 import pytest
 
 from repro.apps import JacobiConfig, WaterConfig
@@ -13,6 +15,7 @@ from repro.harness import (
     table1_parameters,
     unrestricted_cell_experiment,
 )
+from repro.params import SimParams
 
 
 def test_registry_covers_every_table_and_figure():
@@ -86,6 +89,22 @@ def test_fault_sweep_tiny():
         assert all(g > 0 for g in r.get(f"{iface}_goodput_mbps"))
         assert r.get(f"{iface}_completion_ms")[1] > \
             r.get(f"{iface}_completion_ms")[0]
+
+
+def test_fault_sweep_records_failed_points():
+    from repro.harness import fault_sweep_experiment
+    from repro.harness.report import format_series
+
+    r = fault_sweep_experiment(
+        "jacobi", JacobiConfig(n=32, iterations=2), loss_rates=(0.0, 0.3),
+        nprocs=2, base_params=SimParams(reliab_max_attempts=1), jobs=1,
+    )
+    for iface in ("cni", "standard"):
+        clean, failed = r.get(f"{iface}_completion_ms")
+        assert clean > 0 and math.isnan(failed)
+    assert r.notes == ("cni @ 0.3: delivery failed; "
+                       "standard @ 0.3: delivery failed")
+    assert "delivery failed" in format_series(r)
 
 
 def test_runner_cli_fault_plan_option(capsys):

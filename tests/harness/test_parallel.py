@@ -306,6 +306,27 @@ def test_on_error_record_deterministic_through_the_pool():
         shutdown_pool()
 
 
+def test_typed_error_crosses_the_pool_intact():
+    """A worker's DeliveryFailed reaches the parent as itself, not as a
+    BrokenProcessPool hiding the cause."""
+    from repro.core import DeliveryFailed
+    from repro.faults import CellLoss, FaultPlan
+
+    lossy = SimParams().replace(
+        num_processors=2, reliable_transport=True, reliab_max_attempts=1,
+        fault_plan=FaultPlan(seed=3, schedules=(CellLoss(rate=0.3),)))
+    wl = JacobiConfig(n=32, iterations=2)
+    specs = [RunSpec("jacobi", lossy, "cni", wl),
+             RunSpec("jacobi", lossy, "standard", wl)]
+    try:
+        with pytest.raises(DeliveryFailed) as info:
+            run_map(specs, jobs=2, record=False, chunksize=1)
+        assert info.value.attempts == 1
+        assert "delivery failed" in str(info.value)
+    finally:
+        shutdown_pool()
+
+
 def test_shutdown_pool_is_idempotent():
     shutdown_pool()
     shutdown_pool()

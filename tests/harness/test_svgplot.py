@@ -35,6 +35,15 @@ def test_contains_one_polyline_per_series():
         assert len(p.attrib["points"].split()) == 4
 
 
+def test_failed_points_are_gaps():
+    r = series()
+    r.series["cni"][0] = float("nan")
+    svg = render_series_svg(r)
+    assert "nan" not in svg
+    polylines = parse(svg).findall(f".//{SVG_NS}polyline")
+    assert [len(p.attrib["points"].split()) for p in polylines] == [3, 4]
+
+
 def test_legend_and_labels_present():
     svg = render_series_svg(series(), y_label="speedup", title="Figure 2")
     assert "Figure 2" in svg

@@ -258,3 +258,20 @@ def test_hierarchy_cost_classification_is_exhaustive(stream):
     for line, w in stream:
         cost = h.access(np.array([line]), is_write=w)
         assert cost.l1_hits + cost.l2_hits + cost.memory_accesses == 1
+
+
+def test_level_allocates_on_first_burst():
+    lv = level(nlines=8)
+    lines = np.array([1, 9, 2], dtype=np.int64)
+    assert not lv.resident(1) and not lv.resident_mask(lines).any()
+    assert lv.dirty_subset(lines).size == 0
+    assert lv.clean(lines).size == 0 and lv.drop(lines).size == 0
+    assert lv._tags is None  # queries on an empty level allocate nothing
+    lv.burst(lines, is_write=True)
+    assert lv._tags is not None
+    assert list(lv.dirty_subset(lines)) == [9, 2]
+
+
+def test_untouched_level_arrays_read_as_empty():
+    lv = level(nlines=8)
+    assert (lv.tags == -1).all() and not lv.dirty.any()

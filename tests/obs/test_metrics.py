@@ -9,6 +9,7 @@ from repro.obs import (
     DEFAULT_LATENCY_BUCKETS_NS,
     MetricError,
     MetricsRegistry,
+    MetricTemplate,
     private_scope,
 )
 
@@ -247,3 +248,58 @@ def test_merge_into_function_sourced_raises():
     b.counter("x").inc()
     with pytest.raises(MetricError):
         a.merge(b)
+
+
+# -- templates -------------------------------------------------------------------
+
+class _Source:
+    hits = 3
+    lookups = 5
+
+
+TEMPLATE = MetricTemplate(
+    ("counter", "hits", "hits"),
+    ("counter", "misses", lambda s: s.lookups - s.hits),
+    ("gauge", "level", None),
+    ("histogram", "lat_ns", None),
+)
+
+
+def test_template_registers_like_one_by_one_calls():
+    bulk, single = MetricsRegistry(), MetricsRegistry()
+    src = _Source()
+    got = bulk.scope("node3").register(TEMPLATE, src)
+    got["level"].set(7.0)
+    got["lat_ns"].observe(300.0)
+    scope = single.scope("node3")
+    scope.counter("hits", fn=lambda: src.hits)
+    scope.counter("misses", fn=lambda: src.lookups - src.hits)
+    scope.gauge("level").set(7.0)
+    scope.histogram("lat_ns").observe(300.0)
+    assert bulk.snapshot() == single.snapshot()
+    assert bulk.kinds() == single.kinds()
+    assert list(got) == ["hits", "misses", "level", "lat_ns"]
+
+
+def test_template_register_is_get_or_create():
+    r = MetricsRegistry()
+    first = r.register(TEMPLATE, "n", _Source())
+    again = r.register(TEMPLATE, "n", _Source())
+    assert all(first[k] is again[k] for k in first)
+    r.gauge("m.hits")
+    with pytest.raises(MetricError):
+        r.register(TEMPLATE, "m", _Source())
+    with pytest.raises(MetricError):
+        r.register(TEMPLATE, "bad.", _Source())
+
+
+@pytest.mark.parametrize("entries", [
+    (("counter", "", None),),
+    (("counter", "a.", None),),
+    (("timer", "a", None),),
+    (("counter", "a", None), ("gauge", "a", None)),
+    (("histogram", "h", "attr"),),
+])
+def test_template_validates_once_at_build(entries):
+    with pytest.raises(MetricError):
+        MetricTemplate(*entries)
