@@ -13,10 +13,6 @@ and per-destination-node damage counters.  Two activations of the same
 plan therefore produce byte-identical fault sequences (the determinism
 the chaos suite asserts via :meth:`~repro.engine.RunStats.digest`).
 
-The legacy ``Network.loss_injector`` / ``Network.cell_loss_injector``
-callables are kept as deprecated shims that route through the same
-evaluator, so old tests keep passing while new code writes plans.
-
 ``parse_fault_plan`` accepts the ``--fault-plan`` CLI grammar::
 
     seed=42;cell_loss(rate=0.01);link_down(src=0,dst=1,from_ns=0,to_ns=1e6)
@@ -25,9 +21,8 @@ evaluator, so old tests keep passing while new code writes plans.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "CellLoss",
@@ -212,9 +207,9 @@ class ActiveFaultPlan:
     """The mutable runtime evaluator of one :class:`FaultPlan`.
 
     Owned by a :class:`~repro.network.Network`; evaluated at delivery
-    time (after fabric transit, before the destination rx queue), which
-    is exactly where the legacy injectors ran.  Damage is counted per
-    destination node so the cluster can export ``node<i>.faults.*``.
+    time (after fabric transit, before the destination rx queue).
+    Damage is counted per destination node so the cluster can export
+    ``node<i>.faults.*``.
     """
 
     def __init__(self, schedules: Tuple[Schedule, ...], seed: int,
@@ -232,31 +227,6 @@ class ActiveFaultPlan:
                 at = self._crash_at.get(s.node)
                 if at is None or s.at_ns < at:
                     self._crash_at[s.node] = s.at_ns
-        # Legacy injector shims (Network.loss_injector and friends).
-        self._legacy_train: Optional[Callable] = None
-        self._legacy_cell: Optional[Callable] = None
-
-    # -- legacy shims ---------------------------------------------------------
-    def set_legacy_train_injector(self, fn: Optional[Callable]) -> None:
-        """Deprecated: attach a whole-train injector callable.
-
-        Express the loss as a :class:`FaultPlan` schedule instead; the
-        shim exists only so pre-plan experiment scripts keep running."""
-        warnings.warn(
-            "ActiveFaultPlan.set_legacy_train_injector is deprecated; "
-            "express the loss as a FaultPlan schedule",
-            DeprecationWarning, stacklevel=2)
-        self._legacy_train = fn
-
-    def set_legacy_cell_injector(self, fn: Optional[Callable]) -> None:
-        """Deprecated: attach a per-cell injector callable.
-
-        Express the loss as a :class:`FaultPlan` schedule instead."""
-        warnings.warn(
-            "ActiveFaultPlan.set_legacy_cell_injector is deprecated; "
-            "express the loss as a FaultPlan schedule",
-            DeprecationWarning, stacklevel=2)
-        self._legacy_cell = fn
 
     # -- helpers --------------------------------------------------------------
     @staticmethod
@@ -336,8 +306,6 @@ class ActiveFaultPlan:
                     lost += hits
                 else:
                     corrupted += hits
-        if self._legacy_train is not None:
-            lost += int(self._legacy_train(train) or 0)
         lost = min(lost, n)
         corrupted = min(corrupted, n - lost)
         if lost:
@@ -372,9 +340,6 @@ class ActiveFaultPlan:
                         fate = "drop"
                     elif fate == "ok":
                         fate = "corrupt"
-        if fate != "drop" and self._legacy_cell is not None \
-                and self._legacy_cell(cell, packet):
-            fate = "drop"
         if fate == "drop":
             self.cells_dropped[packet.dst_node] += 1
         elif fate == "corrupt":

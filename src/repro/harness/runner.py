@@ -36,7 +36,9 @@ docs/network.md).
 
 Experiment text output is also appended to
 ``results/<scale>_scale_results.txt`` (gitignored), the artifact
-``repro.harness.compare`` reads to regenerate EXPERIMENTS.md.
+``repro.harness.compare`` reads to regenerate EXPERIMENTS.md.  An
+experiment that raises is reported on stderr as ``<id>: <Error>:
+<message>``; the rest still run, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -495,11 +497,18 @@ def main(argv: List[str] = None) -> int:
     os.makedirs(results_dir, exist_ok=True)
     with open(results_path, "w"):
         pass  # one invocation == one results file; re-runs start fresh
+    failed = []
     for exp_id in ids:
         from .export import GLOBAL_METRICS_LOG
 
         GLOBAL_METRICS_LOG.clear()
-        result = run_experiment(exp_id, scale, base_params)
+        try:
+            result = run_experiment(exp_id, scale, base_params)
+        except Exception as exc:
+            # One failing experiment must not lose the ones after it.
+            print(f"{exp_id}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            failed.append(exp_id)
+            continue
         if isinstance(result, SeriesResult):
             text = format_series(result)
         else:
@@ -531,4 +540,4 @@ def main(argv: List[str] = None) -> int:
             print(f"   wrote {path} ({len(GLOBAL_METRICS_LOG)} runs)")
         print()
     print(f"wrote {results_path}")
-    return 0
+    return 1 if failed else 0

@@ -7,8 +7,7 @@ them as the factor that principally limits CNI's gains.
 :class:`Network` routes every cell train through a :class:`Topology`
 selected by ``SimParams.topology`` (grammar: ``banyan:32``,
 ``fattree:k=4``, ``torus:4x4x4`` — see :mod:`repro.network.spec` and
-docs/network.md); the default is the paper's single banyan switch,
-bit-identical to the pre-topology-layer model.
+docs/network.md); the default is the paper's single banyan switch.
 """
 
 from .cell import (
@@ -30,13 +29,12 @@ from .fabrics import (
 )
 from .fragmentation import Reassembler, ReassemblyStats, Segmenter
 from .spec import TopologyError, TopologySpec, parse_topology
-from .switch import BanyanFabric, BanyanSwitch, SingleSwitch
+from .switch import BanyanFabric
 from .topology import Network
 
 __all__ = [
     "AtmCell",
     "BanyanFabric",
-    "BanyanSwitch",
     "BanyanTopology",
     "CellTrain",
     "FLAG_CACHEABLE",
@@ -49,7 +47,6 @@ __all__ = [
     "Reassembler",
     "ReassemblyStats",
     "Segmenter",
-    "SingleSwitch",
     "Topology",
     "TopologyError",
     "TopologySpec",

@@ -6,9 +6,10 @@ concrete fabric via the grammar in :mod:`repro.network.spec`
 (``banyan:32``, ``fattree:k=4``, ``torus:4x4x4``).  Three fabrics
 register here:
 
-* :class:`BanyanTopology` — the paper's single banyan switch.  The
-  default (``SimParams.topology = None``) delegates to the exact
-  pre-topology-layer switch model, so every legacy run is bit-identical.
+* :class:`BanyanTopology` — the paper's single banyan switch and the
+  default (``SimParams.topology = None``): one hop of the shared walk,
+  cut-through latency then serialization on the destination's output
+  port.
 * :class:`FatTreeTopology` — a three-level fat-tree of banyan elements
   (k-ary: k pods of k/2 edge + k/2 aggregation switches, (k/2)^2 core
   switches, k^3/4 hosts) with deterministic up/down routing: the up-path
@@ -22,13 +23,13 @@ register here:
   productive link, falling back to dimension order on ties (the escape
   path that keeps routing deterministic and progress guaranteed).
 
-Shared timing model (multi-hop fabrics)::
+Shared timing model (every fabric)::
 
     per switch crossed   cut-through latency   (SimParams.switch_latency_ns)
     per inter-switch link  propagation          (SimParams.wire_latency_ns)
-    per link             serialization at the  link's own rate, holding the
-                         link — concurrent trains queue FIFO (output-queue
-                         congestion)
+    per link             serialization at      SimParams.link_rate_bps, holding
+                         the link — concurrent trains queue FIFO
+                         (output-queue congestion)
 
 Head-of-line blocking is modelled at switch input ports: a train that
 arrived on link L and is waiting for a busy output holds L's input port
@@ -36,13 +37,10 @@ at that switch, so a later train arriving on the same L queues behind it
 even when its own output is free.  A train never holds more than one
 input port and one output link at a time, and output links are held for
 bounded serialization time only — the acquisition graph is acyclic, so
-the model cannot deadlock.  Per-link rates default to
-``SimParams.link_rate_bps``; pass ``rate_overrides`` (link name → bps)
-to model heterogeneous fabrics.
+the model cannot deadlock.
 
-The host injection/ejection wires stay where they always were — charged
-by ``Network`` around :meth:`Topology.transit` — which is what keeps the
-banyan path bit-identical.  Fabric counters live on the topology object
+The host injection/ejection wires are charged by ``Network`` around
+:meth:`Topology.transit`.  Fabric counters live on the topology object
 and surface as the ``net.*`` metric scope (docs/network.md) whenever a
 topology is explicitly selected.
 """
@@ -54,7 +52,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 from ..engine import Resource, Simulator
 from ..params import SimParams
 from .spec import TopologyError, TopologySpec, parse_topology
-from .switch import SingleSwitch
+from .switch import BanyanFabric
 
 __all__ = [
     "BanyanTopology",
@@ -67,25 +65,20 @@ __all__ = [
 
 
 class Link:
-    """One directed fabric link: a FIFO resource plus its line rate."""
+    """One directed fabric link: a FIFO resource at the line rate."""
 
-    __slots__ = ("name", "res", "rate_bps", "latency_ns", "_params")
+    __slots__ = ("name", "res", "latency_ns", "_params")
 
     def __init__(self, sim: Simulator, name: str, params: SimParams,
-                 rate_bps: Optional[float] = None,
                  latency_ns: float = 0.0):
         self.name = name
         self.res = Resource(sim, f"link:{name}")
-        self.rate_bps = rate_bps if rate_bps is not None else params.link_rate_bps
-        if self.rate_bps <= 0:
-            raise TopologyError(f"link {name}: rate must be positive")
         self.latency_ns = latency_ns
         self._params = params
 
     def serialize_ns(self, wire_bytes: int) -> float:
         """Line-rate serialization time of one packet's cells here."""
-        base = self._params.train_wire_time_ns(wire_bytes)
-        return base * (self._params.link_rate_bps / self.rate_bps)
+        return self._params.train_wire_time_ns(wire_bytes)
 
 
 class Topology:
@@ -100,12 +93,10 @@ class Topology:
     kind = "abstract"
 
     def __init__(self, sim: Simulator, params: SimParams,
-                 spec: TopologySpec,
-                 rate_overrides: Optional[Dict[str, float]] = None):
+                 spec: TopologySpec):
         self.sim = sim
         self.params = params
         self.spec = spec
-        self._rate_overrides = dict(rate_overrides or {})
         self.links: Dict[str, Link] = {}
         self._in_ports: Dict[Tuple[str, str], Resource] = {}
         # -- net.* counters (registered by Network.register_metrics) ----
@@ -117,19 +108,13 @@ class Topology:
 
     # -- construction helpers ------------------------------------------------
     def _add_link(self, name: str, latency_ns: float = 0.0) -> Link:
-        link = Link(self.sim, name, self.params,
-                    rate_bps=self._rate_overrides.get(name),
-                    latency_ns=latency_ns)
+        link = Link(self.sim, name, self.params, latency_ns=latency_ns)
         self.links[name] = link
         return link
 
-    def _in_port(self, switch: str, arrived_on: Optional[Link]
-                 ) -> Optional[Resource]:
+    def _in_port(self, switch: str, arrived_on: Link) -> Resource:
         """The input-port resource for trains entering ``switch`` on
-        ``arrived_on`` (None for host injection — the source NIC already
-        serializes its own sends)."""
-        if arrived_on is None:
-            return None
+        ``arrived_on``."""
         key = (switch, arrived_on.name)
         port = self._in_ports.get(key)
         if port is None:
@@ -199,7 +184,10 @@ class Topology:
         if switch is not None:
             yield self.params.switch_latency_ns
             self.crossings += 1
-            in_port = self._in_port(switch, arrived_on)
+            # Host injection holds no input port: the source NIC already
+            # serializes its own sends.
+            if arrived_on is not None:
+                in_port = self._in_port(switch, arrived_on)
         if in_port is not None:
             if in_port.busy:
                 self.hol_blocks += 1
@@ -220,22 +208,25 @@ class Topology:
 
 
 class BanyanTopology(Topology):
-    """The paper's single banyan switch behind the topology interface.
+    """The paper's single banyan switch: one hop of the shared walk.
 
-    Timing delegates verbatim to :class:`~repro.network.switch.SingleSwitch`
-    — the default fabric's digests are frozen, and this class is how they
-    stay frozen.
+    A train cuts through switch ``sw`` and serializes on output link
+    ``sw.out<dst>``, so concurrent trains to one port queue FIFO there.
+    Internal-link blocking is second-order once output queueing is
+    modelled; :class:`~repro.network.switch.BanyanFabric` exposes it for
+    analysis.
     """
 
     kind = "banyan"
 
     def __init__(self, sim: Simulator, params: SimParams,
-                 spec: Optional[TopologySpec] = None,
-                 rate_overrides: Optional[Dict[str, float]] = None):
+                 spec: Optional[TopologySpec] = None):
         if spec is None:
             spec = TopologySpec("banyan", ports=params.switch_ports)
-        super().__init__(sim, params, spec, rate_overrides)
-        self.switch = SingleSwitch(sim, params, ports=spec.ports)
+        super().__init__(sim, params, spec)
+        self.fabric = BanyanFabric(spec.ports)
+        self._out = [self._add_link(f"sw.out{p}")
+                     for p in range(spec.ports)]
 
     def check_nodes(self, n: int) -> None:
         # The pre-topology-layer message, verbatim (it is load-bearing
@@ -245,24 +236,22 @@ class BanyanTopology(Topology):
                 f"{n} nodes exceed the {self.capacity}-port switch")
 
     def route(self, src: int, dst: int) -> List[str]:
-        self.switch.fabric._check_port(src)
-        self.switch.fabric._check_port(dst)
+        self.fabric._check_port(src)
+        self.fabric._check_port(dst)
         return [f"sw.out{dst}"]
 
     def transit(self, src: int, dst: int, n_cells: int,
                 wire_bytes: int) -> Generator:
-        yield from self.switch.transit(src, dst, n_cells, wire_bytes)
-        self.crossings += 1
-        self.link_hops += 1
+        self.fabric._check_port(src)
+        self.fabric._check_port(dst)
+        if n_cells < 1:
+            raise ValueError("train must carry at least one cell")
+        yield from self._traverse_hop("sw", None, self._out[dst], wire_bytes)
         return None
 
     def min_transit_ns(self, wire_bytes: int) -> float:
         return (self.params.switch_latency_ns
                 + self.params.train_wire_time_ns(wire_bytes))
-
-    def max_link_queue(self) -> int:
-        return max(self.switch.output_queue_length(p)
-                   for p in range(self.switch.fabric.ports))
 
 
 class FatTreeTopology(Topology):
@@ -279,9 +268,8 @@ class FatTreeTopology(Topology):
     kind = "fattree"
 
     def __init__(self, sim: Simulator, params: SimParams,
-                 spec: TopologySpec,
-                 rate_overrides: Optional[Dict[str, float]] = None):
-        super().__init__(sim, params, spec, rate_overrides)
+                 spec: TopologySpec):
+        super().__init__(sim, params, spec)
         k = spec.k
         self.k = k
         self.half = k // 2
@@ -372,9 +360,8 @@ class TorusTopology(Topology):
     kind = "torus"
 
     def __init__(self, sim: Simulator, params: SimParams,
-                 spec: TopologySpec,
-                 rate_overrides: Optional[Dict[str, float]] = None):
-        super().__init__(sim, params, spec, rate_overrides)
+                 spec: TopologySpec):
+        super().__init__(sim, params, spec)
         self.dims = tuple(spec.dims)
         self.routing = spec.routing
         self.nodes = spec.capacity
@@ -481,24 +468,21 @@ class TorusTopology(Topology):
                 + self.params.train_wire_time_ns(wire_bytes))
 
 
-def build_topology(sim: Simulator, params: SimParams,
-                   rate_overrides: Optional[Dict[str, float]] = None
-                   ) -> Topology:
+def build_topology(sim: Simulator, params: SimParams) -> Topology:
     """Build the fabric ``params.topology`` selects (validated).
 
     ``None`` is the paper's machine: a single banyan switch with
-    ``params.switch_ports`` ports, timed by the exact pre-topology-layer
-    model.  The returned fabric has already checked that
-    ``params.num_processors`` nodes fit.
+    ``params.switch_ports`` ports.  The returned fabric has already
+    checked that ``params.num_processors`` nodes fit.
     """
     spec = parse_topology(params.topology)
     if params.topology is None:
         spec = TopologySpec("banyan", ports=params.switch_ports)
     if spec.kind == "banyan":
-        topo: Topology = BanyanTopology(sim, params, spec, rate_overrides)
+        topo: Topology = BanyanTopology(sim, params, spec)
     elif spec.kind == "fattree":
-        topo = FatTreeTopology(sim, params, spec, rate_overrides)
+        topo = FatTreeTopology(sim, params, spec)
     else:
-        topo = TorusTopology(sim, params, spec, rate_overrides)
+        topo = TorusTopology(sim, params, spec)
     topo.check_nodes(params.num_processors)
     return topo

@@ -1,4 +1,4 @@
-"""A 32-port banyan-network ATM switch model.
+"""Routing arithmetic of the 32-port banyan-network ATM switch.
 
 Section 3: "The switch latencies are obtained from a 32-port
 banyan-network based ATM switch model."  A banyan network for ``N = 2^k``
@@ -7,19 +7,16 @@ exactly one path between any input and output — which is why banyans are
 *internally blocking*: two flows can collide on an internal link even
 when their output ports differ.
 
-The model routes with real banyan arithmetic (destination-tag routing),
-exposes the internal path for blocking analysis, and serializes
-contending traffic on output ports and internal links via simulated
-resources; cut-through adds the Table 1 switch latency of 500 ns.
+This module routes with real banyan arithmetic (destination-tag routing)
+and exposes the internal path for blocking analysis.  The switch's
+timing — the Table 1 cut-through latency of 500 ns, then FIFO
+serialization on the output port — is one hop of the shared fabric walk
+in :class:`repro.network.fabrics.BanyanTopology`.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Generator, List, Sequence, Tuple
-
-from ..engine import Resource, Simulator
-from ..params import SimParams
+from typing import Dict, List, Sequence, Tuple
 
 
 def _is_pow2(n: int) -> bool:
@@ -77,79 +74,3 @@ class BanyanFabric:
     def _check_port(self, p: int) -> None:
         if not 0 <= p < self.ports:
             raise ValueError(f"port {p} out of range 0..{self.ports - 1}")
-
-
-class SingleSwitch:
-    """Timed switch: banyan routing + cut-through latency + contention.
-
-    Timing model: a cell train cuts through with the fixed 500 ns switch
-    latency; its cells then stream out of the output port at line rate,
-    so the output port is held for the train's serialization time and
-    concurrent trains to one port queue FIFO.  (Internal-link contention
-    is second-order once output queueing is modelled and is exposed via
-    :class:`BanyanFabric` for analysis.)
-
-    This is the timing core of the default single-switch fabric; build
-    it through :class:`repro.network.BanyanTopology` (or a ``Network``)
-    rather than directly — the old direct-construction name
-    :class:`BanyanSwitch` is a deprecated shim over this class.
-    """
-
-    def __init__(self, sim: Simulator, params: SimParams,
-                 ports: int = None):
-        self.sim = sim
-        self.params = params
-        self.fabric = BanyanFabric(
-            params.switch_ports if ports is None else ports)
-        self._out_ports = [
-            Resource(sim, f"swport{i}") for i in range(self.fabric.ports)
-        ]
-        self.trains_switched = 0
-        self.cells_switched = 0
-
-    def transit(self, inport: int, outport: int, n_cells: int,
-                wire_bytes: int) -> Generator:
-        """Coroutine: move a train of ``n_cells`` / ``wire_bytes`` through.
-
-        Returns when the train's last cell has left the output port.
-        """
-        self.fabric._check_port(inport)
-        self.fabric._check_port(outport)
-        if n_cells < 1:
-            raise ValueError("train must carry at least one cell")
-        # Cut-through latency through the stages.
-        yield self.params.switch_latency_ns
-        # Serialize on the output port at line rate; concurrent trains to
-        # the same port queue FIFO here.
-        serialize = self.params.train_wire_time_ns(wire_bytes)
-        yield from self._out_ports[outport].held(serialize)
-        self.trains_switched += 1
-        self.cells_switched += n_cells
-        return None
-
-    def output_queue_length(self, port: int) -> int:
-        """Trains currently waiting on ``port`` (diagnostics)."""
-        return self._out_ports[port].queue_length
-
-
-class BanyanSwitch(SingleSwitch):
-    """Deprecated direct-construction entry point for the single switch.
-
-    Behaviour is bit-identical to :class:`SingleSwitch` (it *is* one);
-    constructing it directly emits a :class:`DeprecationWarning` because
-    the supported way to get a fabric is the topology layer::
-
-        from repro.network import Network          # or
-        from repro.network.fabrics import build_topology
-
-    both of which honour ``SimParams.topology`` (docs/network.md).
-    """
-
-    def __init__(self, sim: Simulator, params: SimParams,
-                 ports: int = None):
-        warnings.warn(
-            "direct BanyanSwitch construction is deprecated; build the "
-            "fabric through repro.network.Network (SimParams.topology) "
-            "or repro.network.fabrics.build_topology()",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(sim, params, ports)

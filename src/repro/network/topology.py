@@ -3,19 +3,19 @@
 ``SimParams.topology`` selects the fabric (``banyan:32``,
 ``fattree:k=4``, ``torus:4x4x4`` — the grammar in
 :mod:`repro.network.spec`); ``None``, the default, is the paper's single
-banyan switch with the exact pre-topology-layer timing.  Timing model
-for a packet of ``n`` cells from node *s* to node *d* on the default
-fabric (cut-through everywhere, so serialization is charged exactly
-once, at the switch output port where many-to-one contention physically
-queues):
+banyan switch.  Timing model for a packet of ``n`` cells from node *s*
+to node *d* on the default fabric (cut-through everywhere, so
+serialization is charged exactly once, at the switch output port where
+many-to-one contention physically queues):
 
     wire (150 ns)  ->  switch cut-through (500 ns)
                    ->  output-port serialization (n x 681.7 ns, FIFO)
                    ->  wire (150 ns)  ->  destination NIC rx queue
 
-Multi-hop fabrics replace the middle leg with the per-hop walk documented
-in :mod:`repro.network.fabrics` (per-link rates, FIFO output queueing,
-input-port head-of-line blocking); the two host wires stay here.
+The middle leg is one hop of the walk documented in
+:mod:`repro.network.fabrics`; multi-hop fabrics chain several such hops
+(FIFO output queueing, input-port head-of-line blocking).  The two host
+wires stay here.
 
 The sending NIC's transmit processor is itself a serial simulated
 process, which provides source-side serialization of back-to-back sends
@@ -25,14 +25,12 @@ from one node (DESIGN.md documents this approximation).
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Sequence
 
 from ..engine import Mailbox, Simulator
 from ..params import SimParams
 from .cell import AtmCell, CellTrain, Packet
 from .fabrics import Topology, build_topology
-from .spec import TopologyError
 
 
 class Network:
@@ -51,58 +49,13 @@ class Network:
         ]
         self.trains_delivered = 0
         self.cells_delivered = 0
-        #: Runtime fault evaluator (repro.faults); None on a clean fabric
-        #: with no legacy injectors either.
+        #: Runtime fault evaluator (repro.faults); None on a clean fabric.
         self.active_faults = (
             params.fault_plan.activate(params.num_processors)
             if params.fault_plan is not None else None
         )
-        self._legacy_loss_injector: Optional[Callable[[CellTrain], int]] = None
-        self._legacy_cell_loss_injector: Optional[
-            Callable[[AtmCell, Packet], bool]] = None
 
     # -- fault injection ------------------------------------------------------
-    def _faults(self):
-        """The active fault evaluator, created on demand (legacy shims
-        attach their callables to an otherwise-empty plan)."""
-        if self.active_faults is None:
-            from ..faults import FaultPlan
-
-            self.active_faults = FaultPlan().activate(
-                self.params.num_processors)
-        return self.active_faults
-
-    @property
-    def loss_injector(self) -> Optional[Callable[[CellTrain], int]]:
-        """Deprecated: returns how many cells of a train to drop in
-        transit.  Use a :class:`repro.faults.FaultPlan` instead."""
-        return self._legacy_loss_injector
-
-    @loss_injector.setter
-    def loss_injector(self, fn: Optional[Callable[[CellTrain], int]]) -> None:
-        warnings.warn(
-            "Network.loss_injector is deprecated; pass a repro.faults."
-            "FaultPlan via SimParams.fault_plan", DeprecationWarning,
-            stacklevel=2)
-        self._legacy_loss_injector = fn
-        self._faults().set_legacy_train_injector(fn)
-
-    @property
-    def cell_loss_injector(self) -> Optional[Callable[[AtmCell, Packet], bool]]:
-        """Deprecated: per-cell injector (per-cell transport mode);
-        return True to drop a cell.  Use a FaultPlan instead."""
-        return self._legacy_cell_loss_injector
-
-    @cell_loss_injector.setter
-    def cell_loss_injector(
-            self, fn: Optional[Callable[[AtmCell, Packet], bool]]) -> None:
-        warnings.warn(
-            "Network.cell_loss_injector is deprecated; pass a repro.faults."
-            "FaultPlan via SimParams.fault_plan", DeprecationWarning,
-            stacklevel=2)
-        self._legacy_cell_loss_injector = fn
-        self._faults().set_legacy_cell_injector(fn)
-
     def fault_cells_dropped(self, node: int) -> int:
         """Cells the fault plan dropped en route to ``node``."""
         f = self.active_faults
@@ -209,20 +162,3 @@ class Network:
         scope.counter("trains_delivered", fn=lambda: self.trains_delivered)
         scope.counter("cells_delivered", fn=lambda: self.cells_delivered)
         self.topology.register_metrics(scope)
-
-    @property
-    def switch(self):
-        """Deprecated: the underlying single switch, when the fabric is a
-        banyan.  Route through :attr:`topology` instead — multi-hop
-        fabrics have no single switch and raise :class:`TopologyError`
-        here."""
-        warnings.warn(
-            "Network.switch is deprecated; use Network.topology (the "
-            "banyan fabric exposes the timed switch as topology.switch)",
-            DeprecationWarning, stacklevel=2)
-        inner = getattr(self.topology, "switch", None)
-        if inner is None:
-            raise TopologyError(
-                f"the {self.topology.describe()} fabric has no single "
-                "switch; route through Network.topology")
-        return inner

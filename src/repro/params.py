@@ -275,11 +275,10 @@ class SimParams:
     fat-tree of banyan elements, ``torus:4x4x4[:adaptive]`` an
     APEnet+-style torus with dimension-order or minimal-adaptive routing
     (docs/network.md).  None (default) is the paper's machine — a
-    ``switch_ports``-port banyan with the exact legacy timing and *no*
-    ``net.*`` metric scope, which keeps every pre-topology run's
-    ``RunStats`` digest bit-identical.  Any explicit spec (including
-    ``banyan:32``) routes through the topology layer and registers the
-    ``net.*`` catalog."""
+    ``switch_ports``-port banyan with *no* ``net.*`` metric scope, which
+    keeps every pre-topology run's ``RunStats`` digest bit-identical.
+    Any explicit spec (including ``banyan:32``) times identically and
+    also registers the ``net.*`` catalog."""
 
     num_processors: int = 8
     """Workstations in the cluster (one application thread per node)."""

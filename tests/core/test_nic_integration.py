@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import CNIInterface, StandardInterface, TransmitDescriptor
 from repro.engine import Category, Counters, Simulator
+from repro.faults import CellLoss, FaultPlan
 from repro.memory import BoardTLB, HostMMU, MemoryBus
 from repro.network import Network, Packet, PacketKind
 from repro.params import SimParams, standard_interface_params
@@ -127,10 +128,10 @@ def test_unclassified_packet_dropped():
 
 
 def test_cell_loss_drops_packet_in_nic():
-    sim, params, counters, nodes = build_pair("cni")
+    # The 32-byte message is a one-cell train: lose that cell.
+    plan = FaultPlan(schedules=(CellLoss(nth=1, src=0, dst=1),))
+    sim, params, counters, nodes = build_pair("cni", fault_plan=plan)
     nic0, nic1 = nodes[0][0], nodes[1][0]
-    net = nic0.network
-    net.loss_injector = lambda train: 1
     send_data(sim, nic0, 1, 32)
     sim.run()
     assert nic1.packets_dropped == 1

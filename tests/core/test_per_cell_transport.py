@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import CellLoss, FaultPlan
 from repro.params import SimParams
 from repro.runtime import Cluster, MessagingService
 
@@ -74,17 +75,13 @@ def test_dsm_protocol_works_per_cell():
 
 
 def test_per_cell_loss_drops_packet():
-    cluster = make_cluster()
-    dropped = {"n": 0}
-
-    def lose_first_data_cell(cell, packet):
-        # drop exactly one mid-packet cell of the first big packet
-        if packet.payload_bytes > 1000 and cell.seq == 3 and dropped["n"] == 0:
-            dropped["n"] += 1
-            return True
-        return False
-
-    cluster.network.cell_loss_injector = lose_first_data_cell
+    # Each 4096-byte packet is 86 cells.  nth=50 hits cell 49 of the
+    # first packet (delivered at ~188 us); the window closes before the
+    # second packet lands (~247 us), so exactly one mid-packet cell is
+    # lost.
+    plan = FaultPlan(schedules=(
+        CellLoss(nth=50, src=0, dst=1, to_ns=200_000.0),))
+    cluster = make_cluster(fault_plan=plan)
     got = {}
 
     def kernel(ctx):
@@ -98,7 +95,7 @@ def test_per_cell_loss_drops_packet():
             got["payload"] = desc.payload
 
     cluster.run(kernel)
-    assert dropped["n"] == 1
+    assert cluster.network.fault_cells_dropped(1) == 1
     assert got["payload"] == "arrives"  # the damaged packet was dropped
     assert cluster.nodes[1].nic.reassembler.stats.packets_dropped == 1
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine import Simulator
 from repro.faults import (
     ActiveFaultPlan,
     CellCorrupt,
@@ -12,7 +11,7 @@ from repro.faults import (
     NicStall,
     parse_fault_plan,
 )
-from repro.network import CellTrain, Network, Packet, PacketKind, Segmenter
+from repro.network import CellTrain, Packet, PacketKind, Segmenter
 from repro.params import SimParams
 
 
@@ -147,53 +146,6 @@ def test_cell_fate_drop_and_corrupt():
     assert "drop" in fates and "corrupt" in fates
     # a cell hit by both schedules is dropped, not corrupted
     assert fates.count("drop") == 6
-
-
-# -- legacy injector shims ----------------------------------------------------
-
-def test_legacy_loss_injector_deprecated_but_works():
-    sim = Simulator()
-    params = SimParams().replace(num_processors=4)
-    net = Network(sim, params)
-    seg = Segmenter(params)
-    with pytest.deprecated_call():
-        net.loss_injector = lambda train: 1
-    net.send_train(seg.make_train(packet(0, 1)))
-    sim.run()
-    ok, delivered = net.rx_queues[1].try_get()
-    assert ok and delivered.lost_cells == 1
-    assert net.fault_cells_dropped(1) == 1
-
-
-def test_legacy_cell_injector_deprecated():
-    sim = Simulator()
-    net = Network(sim, SimParams().replace(num_processors=4))
-    with pytest.deprecated_call():
-        net.cell_loss_injector = lambda cell, pkt: False
-    assert net.cell_loss_injector is not None
-
-
-def test_plan_level_train_shim_warns_and_delegates():
-    """The ActiveFaultPlan setter itself warns, and the attached callable
-    is evaluated by the plan (damage lands in the plan's counters)."""
-    active = FaultPlan().activate(num_nodes=4)
-    with pytest.warns(DeprecationWarning,
-                      match="set_legacy_train_injector is deprecated"):
-        active.set_legacy_train_injector(lambda train: 2)
-    lost, corrupted = active.train_faults(train(0, 3, n_cells=10), now=0.0)
-    assert (lost, corrupted) == (2, 0)
-    assert active.cells_dropped[3] == 2
-
-
-def test_plan_level_cell_shim_warns_and_delegates():
-    active = FaultPlan().activate(num_nodes=4)
-    with pytest.warns(DeprecationWarning,
-                      match="set_legacy_cell_injector is deprecated"):
-        active.set_legacy_cell_injector(lambda cell, pkt: True)
-    seg = Segmenter(SimParams().replace(num_processors=4))
-    cell = seg.segment(packet(0, 2, size=40))[0]
-    assert active.cell_fate(cell, packet(0, 2, size=40), now=0.0) == "drop"
-    assert active.cells_dropped[2] == 1
 
 
 # -- CLI grammar --------------------------------------------------------------

@@ -68,3 +68,24 @@ def test_metrics_bad_interface_exits_nonzero(capsys):
 def test_metrics_unrecognized_arguments_exit_nonzero(capsys):
     assert main(["metrics", "--frobnicate"]) == 2
     assert "--frobnicate" in capsys.readouterr().err
+
+
+def test_failing_experiment_does_not_stop_the_rest(monkeypatch, tmp_path,
+                                                   capsys):
+    from repro.harness import runner
+    from repro.harness.results import TableResult
+
+    def ok(exp_id):
+        def run(scale, base_params):
+            return TableResult(f"{exp_id} ran", ["value"], {"row": [1.0]})
+        return run
+
+    def boom(scale, base_params):
+        raise RuntimeError("planted failure")
+
+    monkeypatch.setattr(runner, "EXPERIMENTS",
+                        {"aa": ok("aa"), "bb": boom, "cc": ok("cc")})
+    assert main(["all", "--results", str(tmp_path)]) == 1
+    assert "bb: RuntimeError: planted failure" in capsys.readouterr().err
+    text = (tmp_path / "quick_scale_results.txt").read_text()
+    assert "aa ran" in text and "cc ran" in text

@@ -1,11 +1,12 @@
-"""Unit + property tests for the banyan switch."""
+"""Unit + property tests for the banyan switch: routing arithmetic
+(BanyanFabric) and the timed single-switch fabric (BanyanTopology)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Simulator
-from repro.network import BanyanFabric, SingleSwitch
+from repro.network import BanyanFabric, BanyanTopology
 from repro.params import SimParams
 
 
@@ -86,7 +87,7 @@ def test_path_wires_in_range_property(inp, outp):
 def test_transit_uncontended_latency():
     sim = Simulator()
     params = SimParams()
-    sw = SingleSwitch(sim, params)
+    sw = BanyanTopology(sim, params)
 
     def proc():
         yield from sw.transit(0, 1, 10, 480)
@@ -94,14 +95,14 @@ def test_transit_uncontended_latency():
 
     t = sim.run_process(proc())
     assert t == pytest.approx(500.0 + params.train_wire_time_ns(480))
-    assert sw.trains_switched == 1
-    assert sw.cells_switched == 10
+    assert sw.crossings == 1
+    assert sw.link_hops == 1
 
 
 def test_transit_output_port_contention():
     sim = Simulator()
     params = SimParams()
-    sw = SingleSwitch(sim, params)
+    sw = BanyanTopology(sim, params)
     done = []
 
     def proc(tag, inport):
@@ -114,12 +115,13 @@ def test_transit_output_port_contention():
     serialize = params.train_wire_time_ns(480)
     assert done[0] == ("a", pytest.approx(500.0 + serialize))
     assert done[1] == ("b", pytest.approx(500.0 + 2 * serialize))
+    assert (sw.crossings, sw.link_hops, sw.link_waits) == (2, 2, 1)
 
 
 def test_transit_different_ports_parallel():
     sim = Simulator()
     params = SimParams()
-    sw = SingleSwitch(sim, params)
+    sw = BanyanTopology(sim, params)
     done = []
 
     def proc(tag, outport):
@@ -130,11 +132,12 @@ def test_transit_different_ports_parallel():
     sim.spawn(proc("b", 6), "b")
     sim.run()
     assert done[0][1] == pytest.approx(done[1][1])
+    assert sw.link_waits == 0
 
 
 def test_transit_validates_train():
     sim = Simulator()
-    sw = SingleSwitch(sim, SimParams())
+    sw = BanyanTopology(sim, SimParams())
 
     def proc():
         yield from sw.transit(0, 1, 0, 0)
@@ -146,7 +149,7 @@ def test_transit_validates_train():
 def test_unrestricted_serialization_by_bytes():
     sim = Simulator()
     params = SimParams().replace(unrestricted_cell_size=True)
-    sw = SingleSwitch(sim, params)
+    sw = BanyanTopology(sim, params)
 
     def proc():
         yield from sw.transit(0, 1, 1, 4096)

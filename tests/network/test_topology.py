@@ -4,7 +4,14 @@ import pytest
 
 from repro.engine import Simulator
 from repro.faults import CellLoss, FaultPlan
-from repro.network import CellTrain, Network, Packet, PacketKind, Segmenter
+from repro.network import (
+    BanyanTopology,
+    Network,
+    Packet,
+    PacketKind,
+    Segmenter,
+)
+from repro.obs import MetricsRegistry
 from repro.params import SimParams
 
 
@@ -25,6 +32,71 @@ def test_too_many_nodes_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         Network(sim, SimParams().replace(num_processors=33))
+
+
+def test_default_fabric_is_banyan():
+    sim, _params, net = make_net()
+    assert isinstance(net.topology, BanyanTopology)
+    # The pre-topology-layer rejection message, verbatim.
+    with pytest.raises(ValueError, match="exceed the 32-port switch"):
+        Network(Simulator(), SimParams().replace(num_processors=33,
+                                                 switch_ports=32))
+
+
+def test_default_and_explicit_banyan_time_identically():
+    """topology=None and topology='banyan:32' are the same machine:
+    every transfer lands at the same nanosecond."""
+
+    def run_once(**over):
+        sim, params, net = make_net(**over)
+        seg = Segmenter(params)
+        out = []
+
+        def proc():
+            yield from net.transfer_and_wait(seg.make_train(packet(0, 1, 400)))
+            out.append(sim.now)
+
+        sim.spawn(proc(), "p")
+        sim.run()
+        return out[0]
+
+    assert run_once() == run_once(topology="banyan:32")
+
+
+def test_workload_timing_unchanged_on_default_fabric():
+    """A full workload on topology=None digests identically to the same
+    run on an explicit banyan:32 in everything but the metric catalog
+    (net.* registers only when a topology is selected)."""
+    from repro.apps import JacobiConfig, run
+
+    cfg = JacobiConfig(n=16, iterations=2)
+    a, _ = run("jacobi", SimParams().replace(num_processors=4), "cni", cfg)
+    b, _ = run("jacobi",
+               SimParams().replace(num_processors=4, topology="banyan:32"),
+               "cni", cfg)
+    assert a.elapsed_ns == b.elapsed_ns
+    assert a.counters.as_dict() == b.counters.as_dict()
+    assert not any(k.startswith("net.") for k in a.metrics)
+    net_keys = {k for k in b.metrics if k.startswith("net.")}
+    assert {"net.trains_delivered", "net.crossings", "net.hol_blocks",
+            "net.link_waits", "net.link_hops", "net.adaptive_detours",
+            "net.max_link_queue", "net.cells_delivered"} == net_keys
+
+
+def test_banyan_output_port_queueing_counts_link_waits():
+    """Two trains racing for one banyan output port: the second queues
+    on the port, and net.link_waits counts it."""
+    sim, params, net = make_net(topology="banyan:8")
+    registry = MetricsRegistry()
+    net.register_metrics(registry.scope("net"))
+    seg = Segmenter(params)
+    net.send_train(seg.make_train(packet(0, 3, 400)))
+    net.send_train(seg.make_train(packet(1, 3, 400)))
+    sim.run()
+    snap = registry.snapshot()
+    assert snap["net.link_waits"] == 1
+    assert snap["net.crossings"] == snap["net.link_hops"] == 2
+    assert snap["net.hol_blocks"] == 0
 
 
 def test_delivery_to_rx_queue():
@@ -85,6 +157,27 @@ def test_loss_injection():
     ok, train = net.rx_queues[1].try_get()
     assert ok and not train.intact
     assert train.lost_cells == 1
+    # Damage is counted by the plan's evaluator, per destination.
+    assert net.fault_cells_dropped(1) == 1
+
+
+def test_per_cell_loss_counted_by_fault_plan():
+    # Per-cell transport: the plan decides each cell's fate on its own.
+    p = packet(0, 1, size=400)
+    plan = FaultPlan(schedules=(CellLoss(nth=3),))
+    sim, params, net = make_net(fault_plan=plan)
+    cells = Segmenter(params).segment(p)
+    net.send_cells(cells, p)
+    sim.run()
+    delivered = []
+    while True:
+        ok, item = net.rx_queues[1].try_get()
+        if not ok:
+            break
+        delivered.append(item)
+    assert [cell.seq for cell, _ in delivered] == [
+        c.seq for c in cells if (c.seq + 1) % 3]
+    assert net.fault_cells_dropped(1) == len(cells) - len(delivered)
 
 
 def test_concurrent_transfers_to_distinct_nodes():
