@@ -3,14 +3,8 @@
 import pytest
 
 from repro.engine import Simulator
-from repro.faults import CellLoss, FaultPlan
-from repro.network import (
-    BanyanTopology,
-    Network,
-    Packet,
-    PacketKind,
-    Segmenter,
-)
+from repro.faults import ActiveFaultPlan, CellLoss, FaultPlan
+from repro.network import Network, Packet, PacketKind, Segmenter
 from repro.obs import MetricsRegistry
 from repro.params import SimParams
 
@@ -32,15 +26,6 @@ def test_too_many_nodes_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         Network(sim, SimParams().replace(num_processors=33))
-
-
-def test_default_fabric_is_banyan():
-    sim, _params, net = make_net()
-    assert isinstance(net.topology, BanyanTopology)
-    # The pre-topology-layer rejection message, verbatim.
-    with pytest.raises(ValueError, match="exceed the 32-port switch"):
-        Network(Simulator(), SimParams().replace(num_processors=33,
-                                                 switch_ports=32))
 
 
 def test_default_and_explicit_banyan_time_identically():
@@ -157,8 +142,24 @@ def test_loss_injection():
     ok, train = net.rx_queues[1].try_get()
     assert ok and not train.intact
     assert train.lost_cells == 1
-    # Damage is counted by the plan's evaluator, per destination.
+
+
+def test_train_loss_counted_by_fault_plan():
+    # Train transport: a plan attaches the runtime evaluator, and train
+    # damage is counted by it per destination.
+    p = packet(0, 1, size=400)
+    n_cells = SimParams().cells_for_packet(p.wire_bytes)
+    assert make_net()[2].active_faults is None  # clean fabric
+    plan = FaultPlan(schedules=(CellLoss(nth=n_cells),))
+    sim, params, net = make_net(fault_plan=plan)
+    assert isinstance(net.active_faults, ActiveFaultPlan)
+    net.send_train(Segmenter(params).make_train(p))
+    sim.run()
+    ok, train = net.rx_queues[1].try_get()
+    assert ok and train.lost_cells == 1
+    assert net.active_faults.cells_dropped[1] == 1
     assert net.fault_cells_dropped(1) == 1
+    assert net.fault_cells_dropped(2) == 0
 
 
 def test_per_cell_loss_counted_by_fault_plan():

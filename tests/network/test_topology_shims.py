@@ -1,9 +1,9 @@
-"""Deprecation shims of the topology redesign, and banyan equivalence.
+"""Legacy-compatible behaviour of the default fabric.
 
-Mirrors the ActiveFaultPlan shim pattern (test_legacy_injectors.py):
-each legacy entry point must (a) warn with ``DeprecationWarning``,
-(b) delegate to the modern implementation with identical behaviour, and
-(c) leave the modern path warning-free.
+The 1.0 deprecation shims themselves are gone; what stays is that a
+``Network`` built without a ``topology`` is the banyan of the paper,
+reached without warnings, and rejects oversized clusters with the
+pre-topology-layer message.
 """
 
 import warnings
@@ -11,79 +11,8 @@ import warnings
 import pytest
 
 from repro.engine import Simulator
-from repro.network import (
-    BanyanSwitch,
-    BanyanTopology,
-    CellTrain,
-    Network,
-    Packet,
-    PacketKind,
-    SingleSwitch,
-    TopologyError,
-)
+from repro.network import BanyanTopology, Network
 from repro.params import SimParams
-
-
-def train(params, src=0, dst=1, size=400):
-    p = Packet(kind=PacketKind.DATA, src_node=src, dst_node=dst,
-               channel_id=1, payload_bytes=size)
-    return CellTrain(p, params.cells_for_packet(p.wire_bytes))
-
-
-# -- direct BanyanSwitch construction ------------------------------------------
-
-def test_banyan_switch_construction_warns():
-    sim = Simulator()
-    with pytest.warns(DeprecationWarning,
-                      match="BanyanSwitch construction is deprecated"):
-        BanyanSwitch(sim, SimParams())
-
-
-def test_banyan_switch_delegates_to_single_switch():
-    """The shim IS the modern switch: same class hierarchy, same timing."""
-    params = SimParams()
-
-    def transit_time(sw_cls, sim):
-        sw = sw_cls(sim, params)
-
-        def proc():
-            yield from sw.transit(0, 1, 10, 480)
-            return sim.now
-
-        return sim.run_process(proc())
-
-    with pytest.deprecated_call():
-        legacy = transit_time(BanyanSwitch, Simulator())
-    modern = transit_time(SingleSwitch, Simulator())
-    assert legacy == modern
-    assert issubclass(BanyanSwitch, SingleSwitch)
-
-
-def test_single_switch_does_not_warn():
-    sim = Simulator()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        SingleSwitch(sim, SimParams())
-
-
-# -- Network.switch ------------------------------------------------------------
-
-def test_network_switch_property_warns_and_delegates():
-    sim = Simulator()
-    net = Network(sim, SimParams().replace(num_processors=4))
-    with pytest.warns(DeprecationWarning, match="Network.switch is deprecated"):
-        sw = net.switch
-    assert sw is net.topology.switch
-    assert isinstance(sw, SingleSwitch)
-
-
-def test_network_switch_raises_on_multi_hop_fabric():
-    sim = Simulator()
-    net = Network(sim, SimParams().replace(num_processors=4,
-                                           topology="torus:2x2"))
-    with pytest.deprecated_call():
-        with pytest.raises(TopologyError, match="no single switch"):
-            net.switch
 
 
 def test_network_topology_access_does_not_warn():
@@ -95,51 +24,8 @@ def test_network_topology_access_does_not_warn():
         net.min_transit_ns(480)
 
 
-# -- legacy construction path stays bit-identical ------------------------------
-
 def test_default_fabric_is_banyan_with_legacy_rejection():
     sim = Simulator()
     with pytest.raises(ValueError, match="exceed the 32-port switch"):
         Network(sim, SimParams().replace(num_processors=33,
                                          switch_ports=32))
-
-
-def test_default_and_explicit_banyan_time_identically():
-    """topology=None (legacy) and topology='banyan:32' are the same
-    machine: every transfer lands at the same nanosecond."""
-
-    def run_once(**over):
-        sim = Simulator()
-        params = SimParams().replace(num_processors=4, **over)
-        net = Network(sim, params)
-        out = []
-
-        def proc():
-            yield from net.transfer_and_wait(train(params))
-            out.append(sim.now)
-
-        sim.spawn(proc(), "p")
-        sim.run()
-        return out[0]
-
-    assert run_once() == run_once(topology="banyan:32")
-
-
-def test_workload_timing_unchanged_on_default_fabric():
-    """A full workload on topology=None digests identically to the same
-    run on an explicit banyan:32 in everything but the metric catalog
-    (net.* registers only when a topology is selected)."""
-    from repro.apps import JacobiConfig, run
-
-    cfg = JacobiConfig(n=16, iterations=2)
-    a, _ = run("jacobi", SimParams().replace(num_processors=4), "cni", cfg)
-    b, _ = run("jacobi",
-               SimParams().replace(num_processors=4, topology="banyan:32"),
-               "cni", cfg)
-    assert a.elapsed_ns == b.elapsed_ns
-    assert a.counters.as_dict() == b.counters.as_dict()
-    assert not any(k.startswith("net.") for k in a.metrics)
-    net_keys = {k for k in b.metrics if k.startswith("net.")}
-    assert {"net.trains_delivered", "net.crossings", "net.hol_blocks",
-            "net.link_waits", "net.link_hops", "net.adaptive_detours",
-            "net.max_link_queue", "net.cells_delivered"} == net_keys
