@@ -332,39 +332,39 @@ class CNIInterface(NetworkInterface):
         return None
 
     # -- snooping --------------------------------------------------------------------
-    def _snoop(self, node_id: int, vlines: np.ndarray) -> None:
-        """Consistency snooping: bus write traffic updates cached buffers.
+    def _written_frames(self, vlines: np.ndarray) -> List[int]:
+        """The distinct physical frames behind bus write traffic, in
+        ascending order.
 
-        The bus carries physical addresses; we translate the written
-        lines' pages through the host MMU mirror (RTLB) inside the
-        Message Cache.  ``vlines`` arrive as virtual line numbers from
-        the cache model, so we first recover the physical frames the bus
-        would have shown.
+        The bus carries physical addresses; ``vlines`` arrive as virtual
+        line numbers from the cache model, so we recover the frames the
+        bus would have shown through the host MMU mirror.  Unmapped
+        pages show no frame.
         """
         lines_per_page = self.params.page_size_bytes // self.params.cache_line_bytes
-        vpages = np.unique(vlines // lines_per_page)
+        v2p = self.tlb.host.translate_v2p
         frames = []
-        for vp in vpages:
+        for vp in set((vlines // lines_per_page).tolist()):
             try:
-                frames.append(self.tlb.host.translate_v2p(int(vp)))
+                frames.append(v2p(vp))
             except KeyError:
                 continue
+        frames.sort()
+        return frames
+
+    def _snoop(self, node_id: int, vlines: np.ndarray) -> None:
+        """Consistency snooping: bus write traffic updates cached buffers
+        (the RTLB translation back to virtual pages happens inside the
+        Message Cache)."""
+        frames = self._written_frames(vlines)
         if frames:
-            self.message_cache.snoop(np.asarray(frames, dtype=np.int64))
+            self.message_cache.snoop(frames)
 
     def _snoop_disabled(self, node_id: int, vlines: np.ndarray) -> None:
         """Ablation: un-snooped CPU writes leave board copies stale."""
-        lines_per_page = self.params.page_size_bytes // self.params.cache_line_bytes
-        vpages = np.unique(vlines // lines_per_page)
-        frames = []
-        for vp in vpages:
-            try:
-                frames.append(self.tlb.host.translate_v2p(int(vp)))
-            except KeyError:
-                continue
+        frames = self._written_frames(vlines)
         if frames:
-            self.message_cache.snoop_disabled_writeback(
-                np.asarray(frames, dtype=np.int64))
+            self.message_cache.snoop_disabled_writeback(frames)
 
     # -- receive wake economics ----------------------------------------------------------
     def rx_wake_overhead_ns(self) -> float:

@@ -21,9 +21,7 @@ in the **buffer map**.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from ..engine import Counters
 from ..memory import BoardTLB
@@ -170,22 +168,22 @@ class MessageCache:
         return True
 
     # -- snooping -------------------------------------------------------------
-    def snoop(self, frames: np.ndarray, offsets_ignored: bool = True) -> int:
+    def snoop(self, frames: Sequence[int], offsets_ignored: bool = True) -> int:
         """Consistency snooping of CPU write traffic (Section 2.2).
 
-        ``frames`` are the physical page frames of write targets seen on
-        the bus.  Each is reverse-translated through the RTLB; writes to
-        pages without a cached buffer abort; writes to cached pages patch
-        the buffer (we track validity, not bytes — the authoritative data
-        lives in the DSM page store).  Returns the number of absorbed
-        writes.
+        ``frames`` are the distinct physical page frames of write targets
+        seen on the bus.  Each is reverse-translated through the RTLB;
+        writes to pages without a cached buffer abort; writes to cached
+        pages patch the buffer (we track validity, not bytes — the
+        authoritative data lives in the DSM page store).  Returns the
+        number of absorbed writes.
 
         With snooping disabled (ablation), the board cannot absorb the
         write, so the cached copy becomes stale and is invalidated
         instead — see :meth:`snoop_disabled_writeback`.
         """
         absorbed = 0
-        for frame in np.unique(frames):
+        for frame in frames:
             vpage = self.tlb.rtlb_p2v(int(frame))
             if vpage is None:
                 self.snoop_aborts += 1
@@ -198,12 +196,13 @@ class MessageCache:
             self.snoop_updates += 1
         return absorbed
 
-    def snoop_disabled_writeback(self, frames: np.ndarray) -> int:
+    def snoop_disabled_writeback(self, frames: Sequence[int]) -> int:
         """Ablation path: CPU writes reach memory unobserved, so any
-        cached copy of the written pages is now stale and must be
-        invalidated.  Returns the number of invalidations."""
+        cached copy of the written pages (``frames``, distinct) is now
+        stale and must be invalidated.  Returns the number of
+        invalidations."""
         dropped = 0
-        for frame in np.unique(frames):
+        for frame in frames:
             vpage = self.tlb.rtlb_p2v(int(frame))
             if vpage is not None and self.invalidate(vpage):
                 dropped += 1

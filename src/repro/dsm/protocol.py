@@ -281,17 +281,18 @@ class DsmEngine:
             if self.vc[iv.proc] >= iv.seq:
                 continue  # already applied
             self.ilog.record(iv)  # may be merely known already: fine
-            for n in iv.notices:
-                self.pages.apply_notice(
-                    n.page, n.proc, n.seq, n.modified_bytes
-                )
-                # Note: the board's Message Cache copy is NOT dropped
-                # here.  It mirrors *host memory*, which only changes via
-                # snooped CPU stores or board-performed DMA installs;
-                # under multiple-writer LRC a copy that lacks a remote
-                # writer's bytes is still a valid transfer source (the
-                # requester owns the reconciliation via diffs).
-                self.node.counters.inc("dsm_notices_applied")
+            # Note: the board's Message Cache copy is NOT dropped here.
+            # It mirrors *host memory*, which only changes via snooped
+            # CPU stores or board-performed DMA installs; under
+            # multiple-writer LRC a copy that lacks a remote writer's
+            # bytes is still a valid transfer source (the requester owns
+            # the reconciliation via diffs).
+            if iv.notices:
+                self.pages.apply_notices(
+                    iv.proc, iv.seq,
+                    [(n.page, n.modified_bytes) for n in iv.notices])
+                self.node.counters.inc("dsm_notices_applied",
+                                       len(iv.notices))
             if self.vc[iv.proc] < iv.seq:
                 self.vc.v[iv.proc] = iv.seq
 

@@ -41,34 +41,33 @@ class BurstResult:
 
 def _classify_burst(
     entry_tags: np.ndarray, lines: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+           np.ndarray]:
     """Shared grouping arithmetic for an in-order direct-mapped burst.
 
-    Returns ``(hit, order, sl, ss, first)`` where ``order`` is the stable
-    by-set permutation, ``sl``/``ss`` the permuted lines/sets, ``first``
-    marks each set-group's first access, and ``hit`` is per permuted
+    Returns ``(hit, order, sl, ss, first, held)`` where ``order`` is the
+    stable by-set permutation, ``sl``/``ss`` the permuted lines/sets,
+    ``first`` marks each set-group's first access, ``held`` is the line
+    each permuted access finds in its set (the group predecessor, or the
+    entry tag for a group's first access), and ``hit`` is per permuted
     access.  Exactness argument: a direct-mapped set's behaviour depends
-    only on the in-order sequence of lines mapped to it; the stable
-    lexsort preserves that per-set order, so comparing each access with
-    its predecessor in the group (or the entry tag for the first access)
+    only on the in-order sequence of lines mapped to it; the stable sort
+    preserves that per-set order, so comparing each access with its
+    predecessor in the group (or the entry tag for the first access)
     reproduces the scalar machine.
     """
     n = lines.size
-    nsets = entry_tags.size
-    sets = lines % nsets
-    order = np.lexsort((np.arange(n), sets))
+    sets = lines & (entry_tags.size - 1)  # power-of-two set count
+    order = np.argsort(sets, kind="stable")
     sl = lines[order]
     ss = sets[order]
     first = np.empty(n, dtype=bool)
     first[0] = True
-    if n > 1:
-        first[1:] = ss[1:] != ss[:-1]
-    prev_line = np.empty(n, dtype=np.int64)
-    if n > 1:
-        prev_line[1:] = sl[:-1]
-    prev_line[first] = -2  # sentinel never equal to a real line
-    hit = np.where(first, entry_tags[ss] == sl, prev_line == sl)
-    return hit, order, sl, ss, first
+    np.not_equal(ss[1:], ss[:-1], out=first[1:])
+    held = np.empty(n, dtype=np.int64)
+    held[1:] = sl[:-1]
+    held[first] = entry_tags[ss[first]]
+    return held == sl, order, sl, ss, first, held
 
 
 class CacheLevel:
@@ -89,6 +88,9 @@ class CacheLevel:
             raise ValueError(f"{name}: size smaller than one line")
         self.name = name
         self.nsets = size_bytes // line_bytes
+        #: ``line & set_mask`` is ``line % nsets`` (the set count is a
+        #: power of two), without numpy's slow int64 division.
+        self.set_mask = self.nsets - 1
         self.line_bytes = line_bytes
         self.track_dirty = track_dirty
         self._tags: Optional[np.ndarray] = None
@@ -119,35 +121,38 @@ class CacheLevel:
         Updates tags/dirty state and reports hits, misses and the lines
         evicted dirty (write-back traffic).
         """
-        n = lines.size
-        if n == 0:
+        if lines.size == 0:
             return BurstResult(0, 0, np.empty(0, dtype=np.int64))
         if self._tags is None:
             self._allocate()
+        return self._apply(_classify_burst(self._tags, lines), is_write)
+
+    def _apply(self, classified: Tuple[np.ndarray, ...],
+               is_write: bool) -> BurstResult:
+        """Commit a burst :func:`_classify_burst` classified against this
+        level's current state."""
+        hit, _order, sl, ss, first, held = classified
+        n = sl.size
         tags = self._tags
         dirty = self._dirty
 
-        hit, order, sl, ss, first = _classify_burst(tags, lines)
-        miss = ~hit
-
-        # Per-set-group bookkeeping.  Within a group, every access before
-        # the first miss is a hit on the entry occupant; the first miss
-        # evicts the entry occupant; each later miss evicts the line
-        # loaded by the access just before it.
-        group_starts = np.flatnonzero(first)
-        has_miss = np.logical_or.reduceat(miss, group_starts)
-
         evicted: List[np.ndarray] = []
         if self.track_dirty:
+            # Per-set-group bookkeeping.  Within a group, every access before
+            # the first miss is a hit on the entry occupant; the first miss
+            # evicts the entry occupant; each later miss evicts the line
+            # loaded by the access just before it.
+            miss = ~hit
+            group_starts = np.flatnonzero(first)
+            has_miss = np.logical_or.reduceat(miss, group_starts)
             # Entry occupants evicted by each group's first miss.
-            gs_set = ss[group_starts]
-            entry_tag = tags[gs_set]
-            entry_dirty = dirty[gs_set]
+            entry_tag = held[group_starts]
+            entry_dirty = dirty[ss[group_starts]]
             evict_entry = has_miss & (entry_tag >= 0)
             if is_write:
                 # A hit-write before the first miss dirties the occupant
                 # even if it entered the burst clean.
-                entry_dirty = entry_dirty | ~miss[group_starts]
+                entry_dirty = entry_dirty | hit[group_starts]
             evicted.append(entry_tag[evict_entry & entry_dirty])
             if is_write:
                 # Misses after the group's first miss evict a line written
@@ -157,19 +162,14 @@ class CacheLevel:
                 counts = np.diff(np.append(group_starts, n))
                 in_group_cum = cm - np.repeat(before, counts)
                 later_miss = miss & (in_group_cum > 1)
-                prev_line = np.empty(n, dtype=np.int64)
-                if n > 1:
-                    prev_line[1:] = sl[:-1]
-                prev_line[first] = -2
-                evicted.append(prev_line[later_miss])
+                evicted.append(held[later_miss])
             # (Read bursts load clean lines, so intra-burst read
             # evictions beyond the entry occupant carry no write-back.)
 
         # Commit final state: the last access in each set-group wins.
         last = np.empty(n, dtype=bool)
         last[-1] = True
-        if n > 1:
-            last[:-1] = ss[1:] != ss[:-1]
+        last[:-1] = first[1:]
         final_sets = ss[last]
         final_lines = sl[last]
         if self.track_dirty:
@@ -186,19 +186,20 @@ class CacheLevel:
             ev = np.concatenate(evicted)
         else:
             ev = np.empty(0, dtype=np.int64)
-        return BurstResult(int(hit.sum()), int(miss.sum()), ev)
+        hits = int(np.count_nonzero(hit))
+        return BurstResult(hits, n - hits, ev)
 
     def resident(self, line: int) -> bool:
         """Whether ``line`` currently occupies its set."""
         if self._tags is None:
             return False
-        return bool(self._tags[line % self.nsets] == line)
+        return bool(self._tags[line & self.set_mask] == line)
 
     def resident_mask(self, lines: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`resident`."""
         if self._tags is None:
             return np.zeros(np.shape(lines), dtype=bool)
-        return self._tags[lines % self.nsets] == lines
+        return self._tags[lines & self.set_mask] == lines
 
     def drop(self, lines: np.ndarray) -> np.ndarray:
         """Invalidate ``lines`` where resident; returns the dirty ones.
@@ -208,7 +209,7 @@ class CacheLevel:
         """
         if self._tags is None:
             return lines[:0]
-        sets = lines % self.nsets
+        sets = lines & self.set_mask
         here = self._tags[sets] == lines
         sets = sets[here]
         if self.track_dirty:
@@ -227,7 +228,7 @@ class CacheLevel:
         if not self.track_dirty or self._tags is None:
             return np.empty(0, dtype=np.int64)
         lines = np.ascontiguousarray(lines, dtype=np.int64)
-        sets = lines % self.nsets
+        sets = lines & self.set_mask
         target = (self._tags[sets] == lines) & self._dirty[sets]
         self._dirty[sets[target]] = False
         return lines[target]
@@ -237,7 +238,7 @@ class CacheLevel:
         if not self.track_dirty or self._tags is None:
             return np.empty(0, dtype=np.int64)
         lines = np.ascontiguousarray(lines, dtype=np.int64)
-        sets = lines % self.nsets
+        sets = lines & self.set_mask
         mask = (self._tags[sets] == lines) & self._dirty[sets]
         return lines[mask]
 
@@ -301,14 +302,14 @@ class CacheHierarchy:
         if l2._tags is None:
             l2._allocate()
 
-        # Classify against the entry state so the exact in-order L1 miss
-        # stream can be reconstructed for the L2.
-        hit, order, _sl, _ss, _first = _classify_burst(l1._tags, lines)
-        l1.burst(lines, is_write)
-        cost.l1_hits = int(hit.sum())
-
-        miss_positions = np.sort(order[~hit])
-        miss_stream = lines[miss_positions]
+        # One classification serves both the L1 update and the exact
+        # in-order L1 miss stream the L2 sees.
+        classified = _classify_burst(l1._tags, lines)
+        cost.l1_hits = l1._apply(classified, is_write).hits
+        hit, order = classified[:2]
+        in_order_miss = np.empty(lines.size, dtype=bool)
+        in_order_miss[order] = ~hit
+        miss_stream = lines[in_order_miss]
 
         r2 = l2.burst(miss_stream, is_write)
         cost.l2_hits = r2.hits
@@ -324,7 +325,7 @@ class CacheHierarchy:
             # mark.  The reorder can only matter when one burst spans an
             # L2 set conflict (>1 MB apart with Table 1's geometry),
             # which page-granular application bursts never do.
-            sets = lines % l2.nsets
+            sets = lines & l2.set_mask
             resident = l2._tags[sets] == lines
             l2._dirty[sets[resident]] = True
 

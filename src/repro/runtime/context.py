@@ -69,22 +69,26 @@ class Context:
             return None
         line_size = self.params.cache_line_bytes
         page_size = self.params.page_size_bytes
-        line_arrays = [
-            lines_in_range(vaddr, nbytes, line_size) for vaddr, nbytes in runs
-            if nbytes > 0
-        ]
+        segment = self.engine.segment
+        dsm_base = segment.asp.dsm_base  # page-aligned
+        line_arrays = []
+        pages = set()
+        for vaddr, nbytes in runs:
+            if nbytes > 0:
+                line_arrays.append(lines_in_range(vaddr, nbytes, line_size))
+                start = vaddr - dsm_base
+                pages.update(range(start // page_size,
+                                   (start + nbytes - 1) // page_size + 1))
         if not line_arrays:
             return None
         lines = np.concatenate(line_arrays)
 
-        # Page-presence check and faults.
-        lines_per_page = page_size // line_size
-        dsm_base_page = self.engine.segment.asp.dsm_base // page_size
-        pages = np.unique(lines // lines_per_page) - dsm_base_page
-        for page in pages:
-            page = int(page)
-            if not 0 <= page < self.engine.segment.npages:
-                raise ValueError(f"shared access outside the DSM segment")
+        # Page-presence check and faults, in page order.
+        for page in sorted(pages):
+            if not 0 <= page < segment.npages:
+                raise ValueError(
+                    f"shared access to page {page} outside the DSM "
+                    f"segment of {segment.npages} pages")
             if not self.engine.page_accessible(page, is_write):
                 yield from self.engine.fault(page, is_write)
 
@@ -93,7 +97,7 @@ class Context:
             for vaddr, nbytes in runs:
                 if nbytes <= 0:
                     continue
-                start = vaddr - self.engine.segment.asp.dsm_base
+                start = vaddr - dsm_base
                 first_page = start // page_size
                 last_page = (start + nbytes - 1) // page_size
                 for p in range(first_page, last_page + 1):

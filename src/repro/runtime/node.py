@@ -162,21 +162,8 @@ class Node:
         is shown to the bus snoopers, which is how the Message Cache's
         copy stays consistent (Section 2.2).
         """
-        flushed = self.cache.flush_lines(self.page_lines(page))
-        if flushed.size:
-            words = flushed.size * (
-                self.params.cache_line_bytes // self.params.bus_word_bytes
-            )
-            cost = self.params.bus_cycles_ns(
-                self.params.bus_acquisition_cycles
-                + self.params.bus_cycles_per_word * words
-            )
-            self.memory.record_writebacks(int(flushed.size))
-            self.bus.cpu_write_traffic(flushed)
-        else:
-            cost = 0.0
-        yield cost
-        self.account_overhead(cost)
+        yield from self.flush_buffer(self.page_vaddr(page),
+                                     self.params.page_size_bytes)
         return None
 
     def flush_buffer(self, vaddr: int, nbytes: int) -> Generator:

@@ -178,6 +178,11 @@ class _RdvIn:
     base_vaddr: int
     nbytes: int
     received: int = 0
+    #: Whether the chunk flagged ``last`` has arrived, and its payload.
+    #: Adaptive routing may deliver it before an earlier chunk, so the
+    #: stream completes when every byte is in, not when ``last`` lands.
+    last_seen: bool = False
+    app_payload: Any = None
 
 
 _METRICS = MetricTemplate(
@@ -314,19 +319,25 @@ class MessagingEngine:
         self._mc_receive_insert(st.base_vaddr + msg.offset,
                                 packet.payload_bytes)
         st.received += packet.payload_bytes
-        if not msg.last:
-            return None
-        if st.received != st.nbytes:
+        if msg.last:
+            if st.last_seen:
+                raise SimulationError(
+                    f"node {self.me}: rendezvous stream {key} closed twice")
+            st.last_seen = True
+            st.app_payload = msg.app_payload
+        if st.received > st.nbytes:
             raise SimulationError(
-                f"node {self.me}: rendezvous stream {key} closed at "
+                f"node {self.me}: rendezvous stream {key} overran at "
                 f"{st.received}/{st.nbytes} bytes")
+        if not st.last_seen or st.received < st.nbytes:
+            return None
         del self._rdv_in[key]
         from ..core import ReceiveDescriptor
 
         self.node.deliver_to_app(
             ReceiveDescriptor(src_node=st.src, vaddr=st.base_vaddr,
                               length=st.nbytes, handler_key=0,
-                              payload=msg.app_payload),
+                              payload=st.app_payload),
             via_interrupt=not on_board)
         return None
 

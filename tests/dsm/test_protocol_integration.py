@@ -7,7 +7,10 @@ mutual exclusion/ordering, barrier synchrony, diff vs full-page policy.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.dsm import Interval, PageState, WriteNotice
 from repro.params import SimParams
 from repro.runtime import Cluster
 
@@ -288,3 +291,55 @@ def test_snooping_ablation_degrades_hit_ratio():
         return cluster.run(kernel).network_cache_hit_ratio
 
     assert run(True) > run(False)
+
+
+@st.composite
+def interval_batch(draw):
+    """Foreign and own intervals with overlapping page sets, in any
+    order, plus pages that start out valid."""
+    intervals = []
+    for proc in range(4):
+        for seq in range(1, draw(st.integers(0, 3)) + 1):
+            pages = draw(st.lists(st.integers(0, 15), max_size=6,
+                                  unique=True))
+            intervals.append(Interval(proc, seq, tuple(
+                WriteNotice(p, proc, seq, draw(st.integers(0, 4096)))
+                for p in pages)))
+    valid = draw(st.lists(st.integers(0, 15), max_size=8, unique=True))
+    return draw(st.permutations(intervals)), valid
+
+
+def _page_view(table, npages):
+    return [(m.state, m.source, m.ever_valid, dict(m.pending_diffs))
+            for m in (table[p] for p in range(npages))]
+
+
+@given(interval_batch())
+@settings(max_examples=60, deadline=None)
+def test_applying_intervals_matches_per_notice_loop(batch):
+    """The engine's interval application equals calling
+    ``apply_notice`` once per notice of every interval it applies;
+    applying the same intervals again changes nothing."""
+    intervals, valid = batch
+    engines = []
+    for _ in range(2):
+        eng = make_cluster(4).nodes[0].engine
+        for page in valid:
+            eng.pages[page].state = PageState.VALID_RO
+        engines.append(eng)
+    bulk, loop = engines
+
+    bulk._apply_intervals(intervals)
+    bulk._apply_intervals(intervals)
+    notices = 0
+    for iv in sorted(intervals, key=lambda i: (i.proc, i.seq)):
+        if iv.proc == 0 or loop.vc[iv.proc] >= iv.seq:
+            continue
+        for n in iv.notices:
+            loop.pages.apply_notice(n.page, n.proc, n.seq, n.modified_bytes)
+            notices += 1
+        loop.vc.v[iv.proc] = iv.seq
+
+    assert _page_view(bulk.pages, 16) == _page_view(loop.pages, 16)
+    assert list(bulk.vc.v) == list(loop.vc.v)
+    assert bulk.node.counters["dsm_notices_applied"] == notices

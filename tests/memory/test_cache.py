@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import CacheHierarchy, CacheLevel, ReferenceCache
+from repro.memory.cache import _classify_burst
 
 
 def level(nlines=8, track_dirty=True):
@@ -275,3 +276,93 @@ def test_level_allocates_on_first_burst():
 def test_untouched_level_arrays_read_as_empty():
     lv = level(nlines=8)
     assert (lv.tags == -1).all() and not lv.dirty.any()
+
+
+# ------------------------------------------------- hierarchy vs scalar model --
+
+class ScalarHierarchy:
+    """Two :class:`ReferenceCache` levels fed one access at a time.
+
+    Every access probes the L1 (latency only); an L1 miss goes to the
+    L2, which is write-allocate and the write-back point.  After a write
+    burst, every written line still resident in the L2 is marked dirty:
+    the documented end-of-burst semantics of L1-hit writes.
+    """
+
+    def __init__(self, l1_sets, l2_sets):
+        self.l1 = ReferenceCache(l1_sets)
+        self.l2 = ReferenceCache(l2_sets)
+
+    def burst(self, lines, is_write):
+        l1_hits = l2_hits = memory = 0
+        writebacks = []
+        for line in lines:
+            if self.l1.access(line, is_write)[0]:
+                l1_hits += 1
+                continue
+            hit, evicted = self.l2.access(line, is_write)
+            if hit:
+                l2_hits += 1
+            else:
+                memory += 1
+            if evicted is not None:
+                writebacks.append(evicted)
+        if is_write:
+            for line in lines:
+                s = line % self.l2.nsets
+                if self.l2.tags.get(s) == line:
+                    self.l2.dirty[s] = True
+        return l1_hits, l2_hits, memory, writebacks
+
+
+@st.composite
+def hierarchy_script(draw):
+    """Geometry plus a sequence of random and long contiguous bursts."""
+    l1_sets = draw(st.sampled_from([2, 4, 8]))
+    l2_sets = l1_sets * draw(st.sampled_from([1, 2, 4]))
+    span = 4 * l2_sets
+    bursts = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            lines = draw(st.lists(st.integers(0, span - 1),
+                                  min_size=1, max_size=60))
+        else:
+            # The Jacobi shape: a contiguous run longer than the L1.
+            start = draw(st.integers(0, span))
+            length = draw(st.integers(l1_sets + 1, 3 * l2_sets + 1))
+            lines = list(range(start, start + length))
+        bursts.append((lines, draw(st.booleans())))
+    return l1_sets, l2_sets, bursts
+
+
+@given(hierarchy_script())
+@settings(max_examples=200, deadline=None)
+def test_hierarchy_matches_scalar_two_level_model(script):
+    l1_sets, l2_sets, bursts = script
+    vec = hierarchy(l1_lines=l1_sets, l2_lines=l2_sets)
+    ref = ScalarHierarchy(l1_sets, l2_sets)
+    for lines, is_write in bursts:
+        l1_hits, l2_hits, memory, writebacks = ref.burst(lines, is_write)
+        cost = vec.access(np.array(lines, dtype=np.int64), is_write)
+        assert (cost.l1_hits, cost.l2_hits, cost.memory_accesses) == (
+            l1_hits, l2_hits, memory)
+        assert sorted(cost.writeback_lines.tolist()) == sorted(writebacks)
+        assert cost.cpu_cycles == (len(lines) + 10 * (l2_hits + memory)
+                                   + 20 * memory)
+    for level, model in ((vec.l1, ref.l1), (vec.l2, ref.l2)):
+        for s in range(level.nsets):
+            assert level.tags[s] == model.tags.get(s, -1)
+    for s, line in ref.l2.tags.items():
+        assert bool(vec.l2.dirty[s]) == ref.l2.dirty[s]
+
+
+@given(st.sampled_from([1, 2, 8, 64]),
+       st.lists(st.integers(0, 200), min_size=1, max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_classify_burst_order_is_the_stable_set_order(nsets, raw):
+    """The by-set permutation equals ``lexsort((arange, sets))``,
+    repeated lines and repeated sets included."""
+    lines = np.array(raw, dtype=np.int64)
+    order = _classify_burst(np.full(nsets, -1, dtype=np.int64), lines)[1]
+    want = np.lexsort((np.arange(lines.size), lines % nsets))
+    assert order.tolist() == want.tolist()

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Category
+from repro.memory import lines_in_range
 from repro.params import SimParams
 from repro.runtime import Cluster
 
@@ -119,3 +122,49 @@ def test_read_faults_count_once_per_page():
     cluster.run(kernel)
     assert counts["faults"] == 2  # pages 0 and 2 fetched from node 0
     assert counts["faults2"] == counts["faults"]
+
+
+EDGES = [0, 1, 31, 32, 33, 4064, 4095, 4096, 4097, 8191, 3 * 4096]
+
+
+@given(st.lists(st.tuples(st.integers(0, 20), st.sampled_from(EDGES),
+                          st.sampled_from(EDGES)), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_access_runs_faults_each_touched_page_once_in_order(runs):
+    """The pages faulted are ``unique(lines // lines_per_page)`` over
+    the runs' line stream: straddling runs touch both pages, zero-length
+    runs touch none."""
+    cluster, arr = cluster_and_array()
+    engine = cluster.nodes[0].engine
+    faulted = []
+
+    def fault(page, for_write):
+        faulted.append(page)
+        return
+        yield
+
+    engine.page_accessible = lambda page, for_write: False
+    engine.fault = fault
+    runs = [(arr.base_vaddr + page * 4096 + off, nbytes)
+            for page, off, nbytes in runs]
+
+    def kernel(ctx):
+        yield from ctx.read_runs(runs)
+
+    cluster.run(kernel)
+    lines = [lines_in_range(v, n, 32) for v, n in runs if n > 0]
+    want = (np.unique(np.concatenate(lines) // 128)
+            - arr.base_vaddr // 4096) if lines else []
+    assert faulted == list(want)
+
+
+def test_access_outside_segment_names_page_and_size():
+    cluster, arr = cluster_and_array()
+
+    def kernel(ctx):
+        with pytest.raises(ValueError, match="page 32 outside the DSM "
+                                             "segment of 32 pages"):
+            yield from ctx.read_runs([(arr.base_vaddr + 31 * 4096, 8192)])
+        yield from ctx.compute(0)
+
+    cluster.run(kernel)

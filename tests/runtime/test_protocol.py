@@ -12,9 +12,11 @@ from repro.apps import (
 from repro.engine import SimulationError
 from repro.faults import CellLoss, FaultPlan
 from repro.harness import RunSpec, run_map
+from repro.network import Packet, PacketKind
 from repro.obs import aggregate_nodes
 from repro.params import SimParams
 from repro.runtime import Cluster, MessagingService
+from repro.runtime.protocol import RdvData, RtMsgType, _RdvIn
 
 
 def make_cluster(iface, nprocs=2, **over):
@@ -237,6 +239,65 @@ def test_unregistered_window_faults_loudly():
 
     with pytest.raises(SimulationError, match="remote_read"):
         cluster.run(kernel)
+
+
+# ------------------------------------------------------- rendezvous order --
+
+def _rdv_receiver(nbytes):
+    """Node 1 with one open ``nbytes`` rendezvous stream from node 0, and
+    a feeder that delivers one RDV_DATA chunk of that stream."""
+    cluster = make_cluster("cni")
+    node = cluster.nodes[1]
+    node.rt._rdv_in[(0, 7)] = _RdvIn(
+        src=0, base_vaddr=node.alloc_private_buffer(nbytes), nbytes=nbytes)
+
+    def feed(offset, size, last, app_payload=None):
+        packet = Packet(kind=PacketKind.RUNTIME, src_node=0, dst_node=1,
+                        channel_id=0, handler_key=int(RtMsgType.RDV_DATA),
+                        payload_bytes=size,
+                        payload=RdvData(7, offset, last, app_payload))
+        cluster.sim.spawn(node.rt._on_rdv_data(packet, on_board=True))
+        cluster.sim.run()
+
+    return node, feed
+
+
+def test_rendezvous_last_chunk_before_earlier_chunk_delivers_once():
+    """Adaptive routing can land the ``last`` chunk first: the stream
+    completes when every byte is in, with the last chunk's payload."""
+    node, feed = _rdv_receiver(8192)
+    feed(4096, 4096, last=True, app_payload=("big", 2))
+    assert not node.app_inbox and (0, 7) in node.rt._rdv_in
+    feed(0, 4096, last=False)
+    (desc,) = node.app_inbox
+    assert (desc.length, desc.payload) == (8192, ("big", 2))
+    assert not node.rt._rdv_in
+
+
+def test_rendezvous_second_last_chunk_raises():
+    node, feed = _rdv_receiver(8192)
+    feed(4096, 2048, last=True)
+    with pytest.raises(SimulationError, match="closed twice"):
+        feed(6144, 2048, last=True)
+
+
+def test_rendezvous_over_delivery_raises():
+    node, feed = _rdv_receiver(8192)
+    feed(0, 4096, last=False)
+    with pytest.raises(SimulationError, match="overran at 12288/8192"):
+        feed(4096, 8192, last=False)
+
+
+@pytest.mark.parametrize("iface", ["cni", "standard"])
+def test_transpose_completes_on_adaptive_torus(iface):
+    """Default transpose (p=8) on the adaptive torus, whose reordered
+    rendezvous chunks used to close a stream early on the CNI."""
+    params = SimParams().replace(num_processors=8,
+                                 topology="torus:2x2x2:adaptive")
+    (stats,) = run_map([RunSpec("transpose", params, iface,
+                                TransposeConfig())], jobs=1, record=False)
+    assert aggregate_nodes(stats.metrics)["runtime.rendezvous_sends"] == 112
+    assert stats.metrics["net.adaptive_detours"] > 0
 
 
 # ------------------------------------------------------------- determinism --
