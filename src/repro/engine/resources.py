@@ -52,18 +52,19 @@ class Resource:
         else:
             self._busy = True
         self.acquisitions += 1
-        self._acquired_at = self.sim.now
+        self._acquired_at = self.sim._now
         return None
 
     def release(self) -> None:
         """Release the resource, waking the next waiter FIFO."""
         if not self._busy:
             raise RuntimeError(f"release of free resource {self.name}")
-        self.total_hold_ns += self.sim.now - self._acquired_at
+        now = self.sim._now
+        self.total_hold_ns += now - self._acquired_at
         if self._waiters:
             # Hand over directly: the resource stays busy and the next
             # waiter proceeds; FIFO fairness.
-            self._acquired_at = self.sim.now
+            self._acquired_at = now
             self._waiters.popleft().trigger()
         else:
             self._busy = False

@@ -6,8 +6,8 @@ Every table and figure of the paper has an id here (``fig2`` ... ``fig14``,
 * ``quick`` — shrunken workloads with the same structure (default; this
   is what the pytest-benchmark suite runs);
 * ``paper`` — the paper's workload sizes and processor counts (set
-  ``REPRO_FULL=1`` or pass ``--full``; every experiment except
-  ``faults`` takes about 200 s at ``--jobs 2`` on a 2-core machine).
+  ``REPRO_FULL=1`` or pass ``--full``; ``all --full`` runs every
+  experiment in about 2.5 minutes at ``--jobs 2`` on a 2-core machine).
 
 Usage::
 

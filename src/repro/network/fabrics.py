@@ -33,8 +33,9 @@ Shared timing model (every fabric)::
 
 Head-of-line blocking is modelled at switch input ports: a train that
 arrived on link L and is waiting for a busy output holds L's input port
-at that switch, so a later train arriving on the same L queues behind it
-even when its own output is free.  A train never holds more than one
+(every link ends at one switch, so the port belongs to the link), and a
+later train arriving on the same L queues behind it even when its own
+output is free.  A train never holds more than one
 input port and one output link at a time, and output links are held for
 bounded serialization time only — the acquisition graph is acyclic, so
 the model cannot deadlock.
@@ -65,9 +66,14 @@ __all__ = [
 
 
 class Link:
-    """One directed fabric link: a FIFO resource at the line rate."""
+    """One directed fabric link: a FIFO resource at the line rate.
 
-    __slots__ = ("name", "res", "latency_ns", "_params")
+    Every link ends at exactly one switch (or host), so the input port a
+    train holds after arriving on the link is the link's own
+    :attr:`port`, created on first use.
+    """
+
+    __slots__ = ("name", "res", "latency_ns", "_params", "_port")
 
     def __init__(self, sim: Simulator, name: str, params: SimParams,
                  latency_ns: float = 0.0):
@@ -75,6 +81,15 @@ class Link:
         self.res = Resource(sim, f"link:{name}")
         self.latency_ns = latency_ns
         self._params = params
+        self._port: Optional[Resource] = None
+
+    @property
+    def port(self) -> Resource:
+        """The input port of the switch this link ends at."""
+        port = self._port
+        if port is None:
+            port = self._port = Resource(self.res.sim, f"in<{self.name}")
+        return port
 
     def serialize_ns(self, wire_bytes: int) -> float:
         """Line-rate serialization time of one packet's cells here."""
@@ -87,7 +102,7 @@ class Topology:
     Subclasses supply :meth:`route` (the pure path, for analysis and
     tests) and :meth:`transit` (the timed traversal).  The base class
     owns the shared counters (``net.*`` catalog, docs/network.md), the
-    link/input-port tables, and the per-hop timed walk.
+    link table, and the per-hop timed walk.
     """
 
     kind = "abstract"
@@ -98,7 +113,7 @@ class Topology:
         self.params = params
         self.spec = spec
         self.links: Dict[str, Link] = {}
-        self._in_ports: Dict[Tuple[str, str], Resource] = {}
+        self._serialize: Dict[int, float] = {}  # wire_bytes -> ns
         # -- net.* counters (registered by Network.register_metrics) ----
         self.crossings = 0        # switch/router traversals
         self.link_hops = 0        # links traversed
@@ -112,15 +127,14 @@ class Topology:
         self.links[name] = link
         return link
 
-    def _in_port(self, switch: str, arrived_on: Link) -> Resource:
-        """The input-port resource for trains entering ``switch`` on
-        ``arrived_on``."""
-        key = (switch, arrived_on.name)
-        port = self._in_ports.get(key)
-        if port is None:
-            port = Resource(self.sim, f"in:{switch}<{arrived_on.name}")
-            self._in_ports[key] = port
-        return port
+    def _serialize_ns(self, wire_bytes: int) -> float:
+        """Line-rate serialization time of a train, memoised: every link
+        runs at ``params.link_rate_bps``."""
+        ns = self._serialize.get(wire_bytes)
+        if ns is None:
+            ns = self.params.train_wire_time_ns(wire_bytes)
+            self._serialize[wire_bytes] = ns
+        return ns
 
     # -- interface -----------------------------------------------------------
     @property
@@ -172,37 +186,39 @@ class Topology:
         scope.gauge("max_link_queue", fn=self.max_link_queue)
 
     # -- the shared timed walk -----------------------------------------------
-    def _traverse_hop(self, switch: Optional[str], arrived_on: Optional[Link],
-                      link: Link, wire_bytes: int) -> Generator:
-        """One hop: cross ``switch`` (if any), then stream onto ``link``.
+    def _traverse_hop(self, crossing: bool, arrived_on: Optional[Link],
+                      link: Link, serialize_ns: float) -> Generator:
+        """One hop: cross a switch (if ``crossing``), then stream onto
+        ``link``.
 
         Crossing charges the cut-through latency and contends for the
-        input port (head-of-line blocking); the link itself is held for
-        propagation + serialization, queueing concurrent trains FIFO.
+        input port of ``arrived_on`` (head-of-line blocking); host
+        injection (``arrived_on is None``) holds no input port, since
+        the source NIC already serializes its own sends.  The link
+        itself is held for propagation + serialization, queueing
+        concurrent trains FIFO.
         """
         in_port = None
-        if switch is not None:
+        if crossing:
             yield self.params.switch_latency_ns
             self.crossings += 1
-            # Host injection holds no input port: the source NIC already
-            # serializes its own sends.
             if arrived_on is not None:
-                in_port = self._in_port(switch, arrived_on)
-        if in_port is not None:
-            if in_port.busy:
-                self.hol_blocks += 1
-            yield from in_port.acquire()
-        if link.res.busy:
+                in_port = arrived_on.port
+                if in_port.busy:
+                    self.hol_blocks += 1
+                yield from in_port.acquire()
+        res = link.res
+        if res.busy:
             self.link_waits += 1
-        yield from link.res.acquire()
+        yield from res.acquire()
         if in_port is not None:
             in_port.release()
         try:
             if link.latency_ns:
                 yield link.latency_ns
-            yield link.serialize_ns(wire_bytes)
+            yield serialize_ns
         finally:
-            link.res.release()
+            res.release()
         self.link_hops += 1
         return None
 
@@ -246,7 +262,8 @@ class BanyanTopology(Topology):
         self.fabric._check_port(dst)
         if n_cells < 1:
             raise ValueError("train must carry at least one cell")
-        yield from self._traverse_hop("sw", None, self._out[dst], wire_bytes)
+        yield from self._traverse_hop(True, None, self._out[dst],
+                                      self._serialize_ns(wire_bytes))
         return None
 
     def min_transit_ns(self, wire_bytes: int) -> float:
@@ -263,6 +280,10 @@ class FatTreeTopology(Topology):
     derives from the destination's edge position, so the down-path from
     the core to ``dst`` is the same for every source — one unique route
     per (src, dst) pair.
+
+    Links are built into integer-indexed tables (per host; per pod,
+    edge and aggregation position; per core and pod), which both the
+    timed walk and :meth:`route` read.
     """
 
     kind = "fattree"
@@ -271,69 +292,76 @@ class FatTreeTopology(Topology):
                  spec: TopologySpec):
         super().__init__(sim, params, spec)
         k = spec.k
+        half = k // 2
         self.k = k
-        self.half = k // 2
+        self.half = half
         self.pods = k
         self.hosts = k ** 3 // 4
         wire = params.wire_latency_ns
+        self._host_up: List[Link] = []
+        self._host_down: List[Link] = []
         for host in range(self.hosts):
-            self._add_link(f"host{host}.up")
-            self._add_link(f"host{host}.down")
+            self._host_up.append(self._add_link(f"host{host}.up"))
+            self._host_down.append(self._add_link(f"host{host}.down"))
+        # [pod][edge][agg], [pod][agg][edge], [pod][agg][c], [core][pod]
+        self._edge_up: List[List[List[Link]]] = []
+        self._agg_down: List[List[List[Link]]] = []
+        self._agg_up: List[List[List[Link]]] = []
+        self._core_down: List[List[Link]] = [[] for _ in range(half * half)]
         for pod in range(self.pods):
-            for e in range(self.half):
-                for a in range(self.half):
-                    self._add_link(f"p{pod}.e{e}.up.a{a}", latency_ns=wire)
-                    self._add_link(f"p{pod}.a{a}.down.e{e}", latency_ns=wire)
-            for a in range(self.half):
-                for c in range(self.half):
-                    core = a * self.half + c
-                    self._add_link(f"p{pod}.a{a}.up.c{core}",
-                                   latency_ns=wire)
-                    self._add_link(f"c{core}.down.p{pod}", latency_ns=wire)
+            edge_up = [[None] * half for _ in range(half)]
+            agg_down = [[None] * half for _ in range(half)]
+            for e in range(half):
+                for a in range(half):
+                    edge_up[e][a] = self._add_link(
+                        f"p{pod}.e{e}.up.a{a}", latency_ns=wire)
+                    agg_down[a][e] = self._add_link(
+                        f"p{pod}.a{a}.down.e{e}", latency_ns=wire)
+            agg_up = [[None] * half for _ in range(half)]
+            for a in range(half):
+                for c in range(half):
+                    core = a * half + c
+                    agg_up[a][c] = self._add_link(
+                        f"p{pod}.a{a}.up.c{core}", latency_ns=wire)
+                    self._core_down[core].append(self._add_link(
+                        f"c{core}.down.p{pod}", latency_ns=wire))
+            self._edge_up.append(edge_up)
+            self._agg_down.append(agg_down)
+            self._agg_up.append(agg_up)
 
-    # -- host coordinates ----------------------------------------------------
-    def _locate(self, host: int) -> Tuple[int, int, int]:
-        """(pod, edge, port) of a host."""
-        if not 0 <= host < self.hosts:
-            raise TopologyError(
-                f"host {host} out of range 0..{self.hosts - 1}")
-        per_pod = self.k * self.k // 4  # k^2/4 hosts per pod
-        pod, rest = divmod(host, per_pod)
-        edge, port = divmod(rest, self.half)
-        return pod, edge, port
-
-    def _hops(self, src: int, dst: int
-              ) -> List[Tuple[Optional[str], str]]:
-        """The unique up/down path as (switch, link-name) hops."""
-        sp, se, _ = self._locate(src)
-        dp, de, _ = self._locate(dst)
-        a = dst % self.half                       # agg position, dst-rooted
-        core = a * self.half + (dst // self.half) % self.half
-        hops: List[Tuple[Optional[str], str]] = [(None, f"host{src}.up")]
-        if (sp, se) == (dp, de):
-            hops.append((f"edge{sp}.{se}", f"host{dst}.down"))
-            return hops
+    def _path(self, src: int, dst: int) -> List[Link]:
+        """The unique up/down path as its ordered links."""
+        for host in (src, dst):
+            if not 0 <= host < self.hosts:
+                raise TopologyError(
+                    f"host {host} out of range 0..{self.hosts - 1}")
+        half = self.half
+        # host // half == pod * half + edge (k^2/4 hosts per pod)
+        sp, se = divmod(src // half, half)
+        dp, de = divmod(dst // half, half)
+        up = self._host_up[src]
+        down = self._host_down[dst]
+        if sp == dp and se == de:
+            return [up, down]
+        a = dst % half                       # agg position, dst-rooted
         if sp == dp:
-            hops.append((f"edge{sp}.{se}", f"p{sp}.e{se}.up.a{a}"))
-            hops.append((f"agg{sp}.{a}", f"p{sp}.a{a}.down.e{de}"))
-            hops.append((f"edge{dp}.{de}", f"host{dst}.down"))
-            return hops
-        hops.append((f"edge{sp}.{se}", f"p{sp}.e{se}.up.a{a}"))
-        hops.append((f"agg{sp}.{a}", f"p{sp}.a{a}.up.c{core}"))
-        hops.append((f"core{core}", f"c{core}.down.p{dp}"))
-        hops.append((f"agg{dp}.{a}", f"p{dp}.a{a}.down.e{de}"))
-        hops.append((f"edge{dp}.{de}", f"host{dst}.down"))
-        return hops
+            return [up, self._edge_up[sp][se][a], self._agg_down[sp][a][de],
+                    down]
+        c = (dst // half) % half             # core = a * half + c
+        return [up, self._edge_up[sp][se][a], self._agg_up[sp][a][c],
+                self._core_down[a * half + c][dp], self._agg_down[dp][a][de],
+                down]
 
     def route(self, src: int, dst: int) -> List[str]:
-        return [name for _sw, name in self._hops(src, dst)]
+        return [link.name for link in self._path(src, dst)]
 
     def transit(self, src: int, dst: int, n_cells: int,
                 wire_bytes: int) -> Generator:
+        serialize_ns = self._serialize_ns(wire_bytes)
         arrived: Optional[Link] = None
-        for switch, name in self._hops(src, dst):
-            link = self.links[name]
-            yield from self._traverse_hop(switch, arrived, link, wire_bytes)
+        for link in self._path(src, dst):
+            yield from self._traverse_hop(arrived is not None, arrived,
+                                          link, serialize_ns)
             arrived = link
         return None
 
@@ -355,6 +383,9 @@ class TorusTopology(Topology):
     ``adaptive`` differ only in the *order* dimensions are corrected —
     adaptive picks the least-queued productive link at each router and
     falls back to dimension order on ties.
+
+    A router's links and neighbours are tables indexed by the direction
+    slot ``2 * dim + (0 if sign > 0 else 1)``, built at construction.
     """
 
     kind = "torus"
@@ -366,13 +397,29 @@ class TorusTopology(Topology):
         self.routing = spec.routing
         self.nodes = spec.capacity
         wire = params.wire_latency_ns
+        strides = []
+        stride = 1
+        for size in self.dims:
+            strides.append(stride)
+            stride *= size
+        self._out: List[List[Optional[Link]]] = []
+        self._next: List[List[int]] = []
         for n in range(self.nodes):
+            out: List[Optional[Link]] = [None] * (2 * len(self.dims))
+            nxt = [n] * len(out)
             for dim, size in enumerate(self.dims):
                 if size < 2:
                     continue
-                for sign in (+1, -1):
-                    self._add_link(self._link_name(n, dim, sign),
-                                   latency_ns=wire)
+                step = strides[dim]
+                c = n // step % size
+                out[2 * dim] = self._add_link(f"n{n}.d{dim}+",
+                                              latency_ns=wire)
+                nxt[2 * dim] = n + step * ((c + 1) % size - c)
+                out[2 * dim + 1] = self._add_link(f"n{n}.d{dim}-",
+                                                  latency_ns=wire)
+                nxt[2 * dim + 1] = n + step * ((c - 1) % size - c)
+            self._out.append(out)
+            self._next.append(nxt)
 
     # -- coordinates ---------------------------------------------------------
     def _coords(self, n: int) -> Tuple[int, ...]:
@@ -390,18 +437,10 @@ class TorusTopology(Topology):
             n = n * size + c
         return n
 
-    def _link_name(self, node: int, dim: int, sign: int) -> str:
-        return f"n{node}.d{dim}{'+' if sign > 0 else '-'}"
-
-    def _neighbor(self, node: int, dim: int, sign: int) -> int:
-        coords = list(self._coords(node))
-        coords[dim] = (coords[dim] + sign) % self.dims[dim]
-        return self._node(tuple(coords))
-
-    def _deltas(self, src: int, dst: int) -> List[Tuple[int, int, int]]:
-        """Remaining travel per dimension: (dim, sign, steps), minimal
-        direction with ties broken positive — the moves both routing
-        modes draw from."""
+    def _moves(self, src: int, dst: int) -> List[List[int]]:
+        """Remaining travel as ``[slot, steps]`` in dimension order: the
+        minimal direction per dimension, ties broken positive — the
+        moves both routing modes draw from."""
         sc, dc = self._coords(src), self._coords(dst)
         moves = []
         for dim, size in enumerate(self.dims):
@@ -409,56 +448,55 @@ class TorusTopology(Topology):
             if fwd == 0:
                 continue
             if fwd <= size - fwd:
-                moves.append((dim, +1, fwd))
+                moves.append([2 * dim, fwd])
             else:
-                moves.append((dim, -1, size - fwd))
+                moves.append([2 * dim + 1, size - fwd])
         return moves
 
     def route(self, src: int, dst: int) -> List[str]:
         """The dimension-order path (adaptive's zero-load/escape path)."""
-        self._coords(dst)
         names = []
         here = src
-        for dim, sign, steps in self._deltas(src, dst):
+        for slot, steps in self._moves(src, dst):
             for _ in range(steps):
-                names.append(self._link_name(here, dim, sign))
-                here = self._neighbor(here, dim, sign)
+                names.append(self._out[here][slot].name)
+                here = self._next[here][slot]
         return names
 
-    def _pick_move(self, here: int, moves: List[Tuple[int, int, int]]
-                   ) -> Tuple[int, Tuple[int, int, int]]:
-        """Adaptive selection: the productive link with the shortest
-        queue; dimension order (the escape order) breaks ties.  Returns
-        (index into moves, move)."""
+    def _pick_move(self, here: int, moves: List[List[int]]) -> int:
+        """Adaptive selection: the index of the productive move whose
+        link has the shortest queue; dimension order (the escape order)
+        breaks ties."""
+        out = self._out[here]
         best_i, best_load = 0, None
-        for i, (dim, sign, _steps) in enumerate(moves):
-            link = self.links[self._link_name(here, dim, sign)]
-            load = link.res.queue_length + (1 if link.res.busy else 0)
+        for i, (slot, _steps) in enumerate(moves):
+            res = out[slot].res
+            load = res.queue_length + (1 if res.busy else 0)
             if best_load is None or load < best_load:
                 best_i, best_load = i, load
-        return best_i, moves[best_i]
+        return best_i
 
     def transit(self, src: int, dst: int, n_cells: int,
                 wire_bytes: int) -> Generator:
-        moves = [list(m) for m in self._deltas(src, dst)]
+        serialize_ns = self._serialize_ns(wire_bytes)
+        moves = self._moves(src, dst)
+        adaptive = self.routing == "adaptive"
         here = src
         arrived: Optional[Link] = None
         while moves:
-            if self.routing == "adaptive" and len(moves) > 1:
-                i, _ = self._pick_move(
-                    here, [tuple(m) for m in moves])
+            i = 0
+            if adaptive and len(moves) > 1:
+                i = self._pick_move(here, moves)
                 if i != 0:
                     self.adaptive_detours += 1
-            else:
-                i = 0
-            dim, sign, _ = moves[i]
-            link = self.links[self._link_name(here, dim, sign)]
-            yield from self._traverse_hop(f"rt{here}", arrived, link,
-                                          wire_bytes)
+            move = moves[i]
+            slot = move[0]
+            link = self._out[here][slot]
+            yield from self._traverse_hop(True, arrived, link, serialize_ns)
             arrived = link
-            here = self._neighbor(here, dim, sign)
-            moves[i][2] -= 1
-            if moves[i][2] == 0:
+            here = self._next[here][slot]
+            move[1] -= 1
+            if move[1] == 0:
                 del moves[i]
         return None
 

@@ -5,12 +5,16 @@
 of that fast path against a straight-line reference implementation:
 exact pop order under randomized (seeded) schedules, cancellation-heavy
 queues, same-instant priority ties, and the historical ``until``-clamp
-corner cases.
+corner cases.  The second half pins ``Process._step``'s timed-wait fast
+path against the general ``_dispatch`` path.
 """
 
 import random
 
-from repro.engine import EventQueue, Simulator
+import numpy as np
+import pytest
+
+from repro.engine import EventQueue, Interrupt, SimulationError, Simulator
 
 
 def reference_order(entries):
@@ -163,3 +167,171 @@ def test_hwm_accumulates_across_runs():
     sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.queue_len_hwm == 8  # smaller second run never lowers it
+
+
+# -- the timed-wait fast path in Process._step ------------------------------
+#
+# A plain non-negative float/int yield is pushed straight onto the heap;
+# everything else goes through Process._dispatch.  A float/int subclass
+# forces the same delay through _dispatch, which is the reference.
+
+class _SlowFloat(float):
+    """A delay that bypasses the fast path (its type is not float)."""
+
+
+class _SlowInt(int):
+    """A delay that bypasses the fast path (its type is not int)."""
+
+
+def _slow(delay):
+    if type(delay) is float:
+        return _SlowFloat(delay)
+    if type(delay) is int:
+        return _SlowInt(delay)
+    return delay
+
+
+def _sleep_log(delays, force_dispatch=False):
+    """Run one process yielding ``delays``; return its (now, value) log,
+    the error it raised and the simulator."""
+    sim = Simulator()
+    log = []
+
+    def body():
+        for d in delays:
+            value = yield (_slow(d) if force_dispatch else d)
+            log.append((sim.now, type(sim.now), value))
+
+    sim.spawn(body())
+    error = None
+    try:
+        sim.run()
+    except Exception as exc:  # compared between the two paths
+        error = (type(exc), str(exc))
+    return log, error, sim
+
+
+@pytest.mark.parametrize("delays", [
+    [5, 2.5, 0, 0.0, 7],
+    [True, False, 3],
+    [np.float64(3.5), np.int64(2), 1.0],
+    [1.0, float("inf")],
+])
+def test_fast_path_wakes_like_dispatch(delays):
+    fast = _sleep_log(delays)
+    ref = _sleep_log(delays, force_dispatch=True)
+    assert fast[:2] == ref[:2]
+    assert fast[0][-1][1] is float  # the clock stays a float
+    assert fast[2].events_processed == ref[2].events_processed
+
+
+def test_nan_delay_raises_like_dispatch():
+    fast = _sleep_log([1.0, float("nan")])
+    ref = _sleep_log([1.0, float("nan")], force_dispatch=True)
+    assert fast[:2] == ref[:2]
+    assert fast[1] == (ValueError, "event time is NaN")
+
+
+@pytest.mark.parametrize("bad", [-1, -0.5, np.float64(-2.0)])
+def test_negative_delay_is_thrown_like_dispatch(bad):
+    def run(delay):
+        sim = Simulator()
+        caught = []
+
+        def body():
+            yield 1.0
+            try:
+                yield delay
+            except SimulationError as exc:
+                caught.append((sim.now, str(exc)))
+            yield 2.0
+
+        sim.spawn(body(), "p")
+        sim.run()
+        return caught, sim.now, sim.events_processed
+
+    assert run(bad) == run(_slow(bad))
+    assert run(bad)[0] == [(1.0, f"process p yielded negative delay {bad}")]
+
+
+def test_fast_path_entry_is_the_push_entry():
+    """The heap entry of a timed wait is (t, 0, seq, handle), with the
+    next sequence number, exactly what EventQueue.push builds."""
+    sim = Simulator()
+
+    def body():
+        yield 4.0
+
+    proc = sim.spawn(body())
+    sim.run(max_events=1)  # the spawn: the process now sleeps
+    (t, prio, seq, handle), = sim._queue._heap
+    assert (t, prio, seq) == (4.0, 0, 1)
+    assert sim._queue._seq == 2
+    assert handle.time == 4.0 and not handle.cancelled
+    assert handle.callback == proc._step
+    assert proc._waiting_on is handle
+
+
+def _random_world(seed, force_dispatch):
+    """Processes mixing timed waits, event waits and triggers, joins,
+    cancelled timers and interrupts; returns the wake log and the
+    simulator."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    log = []
+    events = [sim.event() for _ in range(12)]
+    procs = []
+
+    def delay():
+        d = rng.choice([0, 1, 2, 2.5, 3.0, 0.0, True, np.float64(1.5), 4])
+        return _slow(d) if force_dispatch else d
+
+    def body(i):
+        for step in range(rng.randint(3, 8)):
+            kind = rng.random()
+            try:
+                if kind < 0.55:
+                    value = yield delay()
+                elif kind < 0.75:
+                    value = yield rng.choice(events)
+                elif kind < 0.85 and i > 0:
+                    value = yield procs[rng.randrange(i)]
+                else:
+                    ev = rng.choice(events)
+                    if not ev.triggered:
+                        ev.trigger((i, step))
+                    value = yield delay()
+            except Interrupt as irq:
+                value = ("irq", irq.cause)
+            log.append((sim.now, i, step, value))
+        return i
+
+    def chaos():
+        for _ in range(10):
+            yield delay()
+            victim = procs[rng.randrange(len(procs))]
+            if rng.random() < 0.5:
+                victim.interrupt(sim.now)
+            handle = sim.schedule(rng.choice([1.0, 2.0]),
+                                  lambda: log.append(("timer", sim.now)))
+            if rng.random() < 0.5:
+                handle.cancel()
+        for ev in events:
+            if not ev.triggered:
+                ev.trigger("final")
+
+    for i in range(20):
+        procs.append(sim.spawn(body(i), f"p{i}"))
+    sim.spawn(chaos(), "chaos")
+    sim.run()
+    return log, sim
+
+
+def test_randomized_mix_matches_dispatch_reference():
+    for seed in range(6):
+        fast_log, fast = _random_world(seed, force_dispatch=False)
+        ref_log, ref = _random_world(seed, force_dispatch=True)
+        assert fast_log == ref_log, f"seed {seed} diverged"
+        assert fast.events_processed == ref.events_processed
+        assert fast.queue_len_hwm == ref.queue_len_hwm
+        assert fast.now == ref.now

@@ -189,6 +189,89 @@ def test_interrupt_finished_process_is_noop():
     assert p.result == "ok"
 
 
+def _sleep_twice_after_interrupt(sim, wait_on, log):
+    try:
+        value = yield wait_on
+        log.append(("woke", sim.now, value))
+    except Interrupt:
+        log.append(("interrupted", sim.now))
+    value = yield 100.0
+    log.append(("slept", sim.now, value))
+    value = yield 100.0
+    log.append(("slept2", sim.now, value))
+
+
+def test_interrupt_withdraws_event_waiter():
+    """An interrupted event wait is over: a later trigger must not
+    resume the process out of its next sleep."""
+    sim = Simulator()
+    ev = sim.event()
+    log = []
+
+    def poker(target):
+        yield 10.0
+        target.interrupt()
+        yield 10.0
+        ev.trigger("late")
+
+    target = sim.spawn(_sleep_twice_after_interrupt(sim, ev, log))
+    sim.spawn(poker(target))
+    sim.run()
+    assert log == [("interrupted", 10.0), ("slept", 110.0, None),
+                   ("slept2", 210.0, None)]
+
+
+def test_interrupt_withdraws_join_waiter():
+    sim = Simulator()
+    log = []
+
+    def child():
+        yield 20.0
+        return "child done"
+
+    def poker(target):
+        yield 10.0
+        target.interrupt()
+
+    kid = sim.spawn(child())
+    target = sim.spawn(_sleep_twice_after_interrupt(sim, kid, log))
+    sim.spawn(poker(target))
+    sim.run()
+    assert kid.result == "child done"
+    assert log == [("interrupted", 10.0), ("slept", 110.0, None),
+                   ("slept2", 210.0, None)]
+
+
+def test_interrupt_racing_a_queued_wakeup_is_thrown_at_next_wait():
+    """The event fired before the interrupt in the same instant: the
+    process takes the wakeup, and the interrupt then ends the sleep it
+    started; the sleep's timer never resumes it a second time."""
+    sim = Simulator()
+    ev = sim.event()
+    log = []
+
+    def sleeper():
+        value = yield ev
+        log.append(("woke", sim.now, value))
+        try:
+            yield 100.0
+        except Interrupt as i:
+            log.append(("interrupted", sim.now, i.cause))
+        yield 500.0
+        log.append(("slept", sim.now))
+
+    def poker(target):
+        yield 10.0
+        ev.trigger("v")
+        target.interrupt("late")
+
+    target = sim.spawn(sleeper())
+    sim.spawn(poker(target))
+    sim.run()
+    assert log == [("woke", 10.0, "v"), ("interrupted", 10.0, "late"),
+                   ("slept", 510.0)]
+
+
 def test_simultaneous_events_run_in_spawn_order():
     sim = Simulator()
     order = []

@@ -6,19 +6,24 @@ starts by running this tool on a pinned :class:`~repro.harness.RunSpec`
 and attacking the top of the list, and ends by re-running it to show the
 cost moved (tools/bench.py then demonstrates the win end to end).
 
-Builds the same workload shapes the bench harness pins, so profile
-output and bench numbers describe the same code path::
+Builds the same workload shapes the bench harness pins, or one pass of
+a benchmark workload's run list, so profile output and benchmark numbers
+describe the same code path::
 
     python tools/profile.py                       # default: bench's jacobi arm
     python tools/profile.py --app water --n 48    # water, 48 molecules
     python tools/profile.py --app cholesky
+    python tools/profile.py --workload fabric_1024  # perfbench's run list
     python tools/profile.py --sort tottime --limit 40
     python tools/profile.py --callers repro       # who calls into repro.*
     python tools/profile.py --dump /tmp/run.prof  # for snakeviz/pstats
 
 Profiles through :func:`repro.harness.execute_run`, i.e. exactly the
 pool-worker body the parallel executor runs, so what this measures is
-what ``--jobs N`` sweeps pay per point.
+what ``--jobs N`` sweeps pay per point.  ``--workload NAME`` takes the
+run list of ``perfbench.workloads.WORKLOADS[NAME]`` at its pinned seed
+and runs each spec in this process (``farm_messaging`` included: its
+specs are profiled directly, not through a farm).
 """
 
 from __future__ import annotations
@@ -34,10 +39,13 @@ from typing import List, Optional
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:] = [p for p in sys.path
                if os.path.abspath(p or os.getcwd()) != _HERE]
-sys.path.insert(0, os.path.join(_HERE, "..", "src"))
+_ROOT = os.path.dirname(_HERE)
+sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 import cProfile  # noqa: E402
+import gc  # noqa: E402
 import pstats  # noqa: E402
+import tempfile  # noqa: E402
 
 
 def build_spec(app: str, n: Optional[int], iters: Optional[int],
@@ -68,6 +76,21 @@ def build_spec(app: str, n: Optional[int], iters: Optional[int],
     return RunSpec(app, params, interface, cfg)
 
 
+def workload_specs(name: str):
+    """``(label, spec)`` for the run list of benchmark workload ``name``
+    at the seed its digests are pinned for."""
+    if _ROOT not in sys.path:
+        sys.path.insert(0, _ROOT)
+    from perfbench.workloads import DEFAULT_SEED, WORKLOADS
+
+    if name not in WORKLOADS:
+        raise SystemExit(f"unknown workload {name!r}; "
+                         f"choose from {sorted(WORKLOADS)}")
+    with tempfile.TemporaryDirectory() as scratch:
+        return [(item.label, item.spec)
+                for item in WORKLOADS[name](DEFAULT_SEED, scratch).items]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--app", default="jacobi",
@@ -81,6 +104,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="simulated processor count (default 4)")
     ap.add_argument("--interface", default="cni",
                     choices=("cni", "standard"))
+    ap.add_argument("--workload", default=None, metavar="NAME",
+                    help="profile one pass of a perfbench workload's run "
+                         "list instead (fabric_1024, paper_dsm, ...)")
     ap.add_argument("--sort", default="cumulative",
                     help="pstats sort key (default cumulative; try tottime)")
     ap.add_argument("--limit", type=int, default=30,
@@ -93,17 +119,23 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from repro.harness import execute_run
 
-    spec = build_spec(args.app, args.n, args.iters, args.procs,
-                      args.interface)
-    execute_run(spec)  # warm-up: imports, numpy, allocator
     prof = cProfile.Profile()
-    prof.enable()
-    stats = execute_run(spec)
-    prof.disable()
-
-    events = float(stats.metrics.get("engine.events_processed", 0.0))
-    print(f"[profile] {spec.describe()}: {events:,.0f} events, "
-          f"digest {stats.digest()[:12]}")
+    if args.workload is not None:
+        # No warm-up pass: building the run list imported every layer.
+        runs = workload_specs(args.workload)
+    else:
+        spec = build_spec(args.app, args.n, args.iters, args.procs,
+                          args.interface)
+        runs = [(spec.describe(), spec)]
+        execute_run(spec)  # warm-up: imports, numpy, allocator
+    for label, spec in runs:
+        gc.collect()  # the previous run's garbage, as perfbench does
+        prof.enable()
+        stats = execute_run(spec)
+        prof.disable()
+        events = float(stats.metrics.get("engine.events_processed", 0.0))
+        print(f"[profile] {label}: {events:,.0f} events, "
+              f"digest {stats.digest()[:12]}")
     ps = pstats.Stats(prof, stream=sys.stdout)
     ps.strip_dirs().sort_stats(args.sort).print_stats(args.limit)
     if args.callers:
